@@ -77,6 +77,8 @@ class RootBracket:
         return len(self.poly) - 1
 
     def refine_to(self, width: Fraction) -> None:
+        if self.hi - self.lo <= width:
+            return  # the bracket stays put, and so do the cached power bounds
         while self.hi - self.lo > width:
             mid = (self.lo + self.hi) / 2
             s = poly_eval(self.poly, mid)

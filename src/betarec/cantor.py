@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -102,6 +103,11 @@ class BlockPool:
     pools) enumeration all run on the product of the two follower automata.
     """
 
+    # the sampling table's first row and the exclusions as a set, both made
+    # by _build_table on the first draw (choose_N_M builds pools it never samples)
+    _root: Optional[tuple] = None
+    _excluded: Optional[frozenset] = None
+
     def __init__(self, child: BetaContext, parent: BetaContext, M: int,
                  exclude: tuple[Word, ...] = ()):
         self.M = M
@@ -176,30 +182,54 @@ class BlockPool:
         hit = sum(1 for w in self.exclude if w[: len(prefix)] == prefix)
         return raw - hit
 
+    def _build_table(self) -> None:
+        """One row per (position, product state) with completions left.
+
+        A row is (total, cumulative weights, digits, successor rows) over the
+        digits whose completion count is non-zero, so a draw below ``total``
+        selects its digit by bisection and walks straight to the next row.
+        Zero-weight digits can never be selected, so dropping them changes
+        no draw's outcome.
+        """
+        rows: dict[tuple[int, int], tuple] = {}
+        for t in range(self.M - 1, -1, -1):
+            nxt = rows
+            rows = {}
+            for s, count in self._g[t].items():
+                if count == 0:
+                    continue
+                cum: list[int] = []
+                digits: list[int] = []
+                succ: list[Optional[tuple]] = []
+                acc = 0
+                for c in range(self._amax + 1):
+                    s2 = self._step(s, c)
+                    w = self._g[t + 1].get(s2, 0) if s2 is not None else 0
+                    if w:
+                        acc += w
+                        cum.append(acc)
+                        digits.append(c)
+                        succ.append(nxt.get(s2))
+                rows[s] = (acc, cum, digits, succ)
+        self._root = rows.get((0, 0))
+        self._excluded = frozenset(self.exclude)
+
     def sample(self, rng: random.Random) -> Word:
         if self.size <= 0:
             raise ConstructionError("construction infeasible at this (N, M)")
+        if self._excluded is None:
+            self._build_table()
+        randrange = rng.randrange
         while True:
             digits: list[int] = []
-            state = (0, 0)
-            for t in range(self.M):
-                weights = []
-                nexts = []
-                for c in range(self._amax + 1):
-                    s2 = self._step(state, c)
-                    w = self._g[t + 1].get(s2, 0) if s2 is not None else 0
-                    weights.append(w)
-                    nexts.append(s2)
-                total = sum(weights)
-                pick = rng.randrange(total)
-                for c, w in enumerate(weights):
-                    if pick < w:
-                        digits.append(c)
-                        state = nexts[c]
-                        break
-                    pick -= w
+            row = self._root
+            while row is not None:
+                total, cum, digs, succ = row
+                i = bisect_right(cum, randrange(total))
+                digits.append(digs[i])
+                row = succ[i]
             word = tuple(digits)
-            if word not in self.exclude:
+            if word not in self._excluded:
                 return word
 
     def enumerate(self, budget: int = 200_000) -> Iterator[Word]:

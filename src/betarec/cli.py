@@ -30,7 +30,12 @@ from .expansion import (
 from .numerics import _as_fraction
 
 
+class NoDigitsError(ValueError):
+    """--stdin-digits found no digits to analyse."""
+
+
 def _default_bits() -> int:
+    """The precision from BETAREC_PRECISION_BITS (at least 64), else 192."""
     env = os.environ.get("BETAREC_PRECISION_BITS")
     return max(64, int(env)) if env else 192
 
@@ -144,6 +149,8 @@ def cmd_full_scan(args):
 def _view_from_args(args, ctx) -> rec_mod.OrbitView:
     if getattr(args, "stdin_digits", False):
         digits = word_from_text(sys.stdin.read().strip())
+        if not digits:
+            raise NoDigitsError("no digits supplied on stdin")
         return rec_mod.OrbitView.from_digits(ctx, digits)
     if args.x is None:
         raise ValueError("provide --x or --stdin-digits")
@@ -269,7 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--beta", default="2",
                         help="base: decimal, fraction, or 'golden'")
-    common.add_argument("--precision-bits", type=int, default=_default_bits())
+    # default None: main fills it from the environment, where a bad value
+    # becomes an argument error rather than a traceback
+    common.add_argument("--precision-bits", type=int, default=None)
     common.add_argument("--output", choices=("json", "csv", "tsv"), default="json")
     common.add_argument("--seed", type=int, default=0)
     p = argparse.ArgumentParser(
@@ -356,6 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.precision_bits is None:
+        try:
+            args.precision_bits = _default_bits()
+        except ValueError:
+            parser.error("BETAREC_PRECISION_BITS must be an integer, got "
+                         f"{os.environ['BETAREC_PRECISION_BITS']!r}")
     params = {k: v for k, v in vars(args).items()
               if k not in ("func",) and v is not None}
     try:

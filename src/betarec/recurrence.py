@@ -48,7 +48,14 @@ def z_array(seq: list[int]) -> list[int]:
     z[0] = n
     l = r = 0
     for i in range(1, n):
-        zi = min(r - i, z[i - l]) if i < r else 0
+        if i < r:
+            zi = z[i - l]
+            if zi < r - i:
+                z[i] = zi  # the match ends inside the current Z-box
+                continue
+            zi = r - i
+        else:
+            zi = 0
         while i + zi < n and seq[zi] == seq[i + zi]:
             zi += 1
         z[i] = zi
@@ -69,6 +76,9 @@ class OrbitView:
     Digit-backed views (``from_digits``) carry a fixed stream and stand for
     its left endpoint, i.e. the digits continue with zeros; analyses must
     stay below the supplied depth to say anything about the intended point.
+
+    The Z-array of the available stream is held once, as a numpy int64
+    array, and rebuilt only when the stream has grown.
     """
 
     def __init__(self, ctx: BetaContext, digits: list[int],
@@ -77,8 +87,9 @@ class OrbitView:
         self._digits = digits
         self._point = point
         self._stream = stream
-        self._z: Optional[list[int]] = None
+        self._z: Optional[np.ndarray] = None
         self._z_len = 0
+        self._periodic: Optional[tuple[tuple[int, int], bool]] = None
 
     @classmethod
     def from_point(cls, ctx: BetaContext, x) -> "OrbitView":
@@ -90,7 +101,7 @@ class OrbitView:
     @classmethod
     def from_digits(cls, ctx: BetaContext, digits) -> "OrbitView":
         digits = list(digits)
-        if any(d < 0 or d > ctx.alphabet_max for d in digits):
+        if digits and (min(digits) < 0 or max(digits) > ctx.alphabet_max):
             raise ValueError("digit out of alphabet")
         return cls(ctx, digits, None, None)
 
@@ -123,13 +134,18 @@ class OrbitView:
             self._point = word_value_fraction(tuple(self._digits), beta)
         return self._point
 
-    def z(self, n: int) -> int:
-        """Common prefix length of the stream and its shift by n, as available."""
+    def z_values(self) -> np.ndarray:
+        """The Z-array of the available stream, as a read-only array."""
         d = len(self._digits)
         if self._z is None or self._z_len != d:
-            self._z = z_array(self._digits)
+            self._z = np.array(z_array(self._digits), dtype=np.int64)
+            self._z.flags.writeable = False
             self._z_len = d
-        return self._z[n]
+        return self._z
+
+    def z(self, n: int) -> int:
+        """Common prefix length of the stream and its shift by n, as available."""
+        return int(self.z_values()[n])
 
     def z_censored(self, n: int) -> bool:
         return n + self.z(n) >= len(self._digits)
@@ -145,10 +161,10 @@ def digit_period(view: OrbitView, scan_depth: Optional[int] = None) -> Optional[
     d = view.ensure(scan_depth or view.depth or 512)
     if scan_depth is not None:
         d = min(d, scan_depth)
-    for p in range(1, d // 2 + 1):
-        if view.z(p) >= d - p:
-            return p
-    return None
+    half = d // 2
+    z = view.z_values()[1 : half + 1]
+    hits = np.flatnonzero(z >= d - np.arange(1, half + 1))
+    return int(hits[0]) + 1 if hits.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -510,47 +526,51 @@ class ExponentEstimate:
 
 
 def _lambda_series(view: OrbitView, n_max: int,
-                   scan_steps: int = 48) -> tuple[list[float], int]:
+                   scan_steps: int = 48) -> tuple[list[float], np.ndarray, int]:
     """Midpoints of -log_beta |T^n x - x| for n = 1..n_max, batched.
 
     A fixed number of float recurrence steps settles the vast majority of
     positions at once; positions that cancel too deeply, dip and recover
     (where the float recurrence loses precision), or run off the stream are
-    recomputed with the exact per-position routine.
+    recomputed with the exact per-position routine.  Returns the series as
+    a list and as an array, and the number of censored positions.
     """
     cache = getattr(view, "_lambda_cache", None)
     if cache is not None and cache[0] == n_max:
-        return cache[1], cache[2]
+        return cache[1], cache[2], cache[3]
+    n_arr = np.arange(1, n_max + 1)
     # make sure every position can see its whole match plus the scan window
     probe = 0
     while True:
         depth = view.ensure(max(n_max + 256, 2 * view.depth if probe else 0))
-        zs = [view.z(n) for n in range(1, n_max + 1)]
-        need = max(n + 1 + z + scan_steps for n, z in zip(range(1, n_max + 1), zs))
+        if depth <= n_max:
+            raise IndexError(f"digit stream of depth {depth} is too short "
+                             f"for n_max {n_max}")
+        j_arr = view.z_values()[1 : n_max + 1]
+        need = int((n_arr + j_arr).max()) + 1 + scan_steps
         if need <= depth or view._stream is None or depth >= 1 << 21:
             break
         probe += 1
         view.ensure(need)
     depth = view.depth
-    d = np.asarray(view._digits, dtype=np.int64)
-    n_arr = np.arange(1, n_max + 1)
-    j_arr = np.asarray(zs, dtype=np.int64)
-    beta_f = view.ctx.beta_float()
     amax = max(view.ctx.alphabet_max, 1)
+    # zero padding past the stream: positions that read it are discarded below
+    dtype = np.int8 if amax <= 127 else np.int64
+    d = np.zeros(depth + scan_steps + 1, dtype=dtype)
+    d[:depth] = view._digits
+    beta_f = view.ctx.beta_float()
     tail = amax / (beta_f - 1.0)
     s = np.zeros(n_max, dtype=np.float64)
     max_abs = np.zeros(n_max, dtype=np.float64)
-    bad = np.zeros(n_max, dtype=bool)
-    base_a = n_arr + j_arr
-    base_b = j_arr
-    for i in range(scan_steps):
-        ia = base_a + i
-        ib = base_b + i
-        bad |= (ia >= depth) | (ib >= depth)
-        ia = np.minimum(ia, depth - 1)
-        ib = np.minimum(ib, depth - 1)
-        s = s * beta_f + (d[ia] - d[ib])
+    ia = n_arr + j_arr
+    ib = j_arr.copy()
+    bad = ia + (scan_steps - 1) >= depth
+    for _ in range(scan_steps):
+        s *= beta_f
+        s += d[ia] - d[ib]
         np.maximum(max_abs, np.abs(s), out=max_abs)
+        ia += 1
+        ib += 1
     abs_s = np.abs(s)
     ok = (~bad) & (abs_s > (1 << 20) * tail) & (max_abs < (1 << 20) * abs_s)
     lam = np.full(n_max, np.nan)
@@ -564,20 +584,32 @@ def _lambda_series(view: OrbitView, n_max: int,
         else:
             lam[idx] = (lb.lo + lb.hi) / 2.0
     out = lam.tolist()
-    view._lambda_cache = (n_max, out, censored)
-    return out, censored
+    view._lambda_cache = (n_max, out, lam, censored)
+    return out, lam, censored
 
 
 def _check_periodic(view: OrbitView, n_max: int) -> bool:
+    """Whether the stream looks periodic; decided once per (n_max, depth).
+
+    The verdict is a function of n_max and the depth the check starts from,
+    so it is kept on the view under that key.
+    """
+    key = (n_max, view.depth)
+    if view._periodic is not None and view._periodic[0] == key:
+        return view._periodic[1]
     view.ensure(2 * n_max)
-    p = digit_period(view, view.depth)
-    if p is None:
-        return False
-    if view._stream is not None:
+    periodic = digit_period(view, view.depth) is not None
+    if periodic and view._stream is not None:
         # extend: a genuine period survives, an artefact of shallow depth won't
         view.ensure(4 * view.depth)
-        return digit_period(view, view.depth) is not None
-    return True
+        periodic = digit_period(view, view.depth) is not None
+    view._periodic = (key, periodic)
+    return periodic
+
+
+def _positive(lam: np.ndarray) -> np.ndarray:
+    """lam with censored (nan) and non-positive entries read as +0.0."""
+    return np.where(lam > 0, lam, 0.0)
 
 
 def estimate_r(view: OrbitView, n_max: int) -> ExponentEstimate:
@@ -590,13 +622,9 @@ def estimate_r(view: OrbitView, n_max: int) -> ExponentEstimate:
         raise ValueError("n_max too small")
     if _check_periodic(view, n_max):
         return ExponentEstimate(math.inf, n_max, (n_max // 2, n_max))
-    series, censored = _lambda_series(view, n_max)
+    series, lam, censored = _lambda_series(view, n_max)
     lo_n = n_max // 2
-    best = 0.0
-    for n in range(lo_n, n_max + 1):
-        lam = series[n - 1]
-        if not math.isnan(lam):
-            best = max(best, lam / n)
+    best = float((_positive(lam[lo_n - 1:]) / np.arange(lo_n, n_max + 1)).max())
     return ExponentEstimate(best, n_max, (lo_n, n_max), series, censored)
 
 
@@ -610,16 +638,10 @@ def estimate_r_hat(view: OrbitView, n_max: int) -> ExponentEstimate:
         raise ValueError("n_max too small")
     if _check_periodic(view, n_max):
         return ExponentEstimate(math.inf, n_max, (n_max // 2, n_max))
-    series, censored = _lambda_series(view, n_max)
+    series, lam, censored = _lambda_series(view, n_max)
     lo_n = n_max // 2
-    running = 0.0
-    value = math.inf
-    for n in range(1, n_max + 1):
-        lam = series[n - 1]
-        if not math.isnan(lam):
-            running = max(running, lam)
-        if n >= lo_n:
-            value = min(value, running / n)
+    running = np.maximum.accumulate(_positive(lam))
+    value = float((running[lo_n - 1:] / np.arange(lo_n, n_max + 1)).min())
     return ExponentEstimate(value, n_max, (lo_n, n_max), series, censored)
 
 

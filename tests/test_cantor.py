@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from betarec.cantor import (
     BlockPool,
+    _rotations,
     CountableRegimeError,
     build_levels,
     build_plan,
@@ -246,6 +248,61 @@ class TestSampling:
             tail = digits[ell1 * n1 : m1]
             assert tail == pad(digits[:n1], p1, plan25.N)
             assert is_full(tail, base25) or all(d == 0 for d in tail)
+
+
+def _digest(digits) -> str:
+    return hashlib.sha256(bytes(digits)).hexdigest()
+
+
+class TestSamplerPins:
+    """Sampled digits at fixed seeds, pinned as digests.
+
+    The digests were recorded from the per-digit reference sampler that
+    stepped both follower automata and rebuilt the weight list on every
+    digit; the table-driven sampler must reproduce every draw.
+    """
+
+    def test_criterion_6_plan(self, base25):
+        plan = build_plan(base25, 0, Fraction(1, 2), delta="0.5", K=6, seed=23)
+        depth = plan.m_seq[4] + 200
+        assert (plan.N, plan.M, plan.seed_word, depth) == (4, 4, (2, 0, 0, 0), 70189)
+        pins = {400: "34a766387ec28492ac3e245da3e314cab4abda51a3f5da8c755a6ca820962964",
+                401: "6f3bdb41d5bab8e89fc882f999e8793537136463b0d46eed927368d1efad1ae7"}
+        for seed, digest in pins.items():
+            assert _digest(sample_point(plan, seed, depth).digits(depth)) == digest
+
+    def test_golden_plan(self):
+        plan = build_plan(BetaContext.golden(), "0.2", "1", delta="0.5", K=6, seed=11)
+        depth = plan.m_seq[4] + 200
+        assert (plan.N, plan.M, depth) == (11, 12, 6470)
+        pins = {1000: "bfb5b299ff6021fc8fcdc032bb0979509e348411132210611b94bb8e3d87dce2",
+                1001: "52e158b4253461ff0080fb65053ddf4b68dce2b74685f81d90dd362890a41176"}
+        for seed, digest in pins.items():
+            assert _digest(sample_point(plan, seed, depth).digits(depth)) == digest
+
+    def test_rejection_redraws(self, base25):
+        trunc = approximate_beta(base25, 2)
+        universe = BlockPool(trunc, base25, 3)
+        pool = BlockPool(trunc, base25, 3, exclude=tuple(_rotations((1, 0, 0))))
+        assert (universe.size, pool.size) == (12, 9)
+        # seed 4: the first raw draw is an excluded rotation, so the pool
+        # rejects it and returns the next draw of the same generator
+        rng = random.Random(4)
+        first, second = universe.sample(rng), universe.sample(rng)
+        assert first in pool.exclude and second not in pool.exclude
+        assert pool.sample(random.Random(4)) == second == (2, 0, 1)
+        rng = random.Random(5)
+        words = [pool.sample(rng) for _ in range(300)]
+        assert not set(words) & set(pool.exclude)
+        assert _digest([d for w in words for d in w]) == (
+            "2f6f3f5bbbe02e3719674d44df69719235692527658988acf2718e45434d94e7")
+
+    def test_build_levels_sample(self, plan25):
+        levels = build_levels(plan25, 4, mode="sample", seed=3)
+        words = [ls.words[0] for ls in levels]
+        assert [len(w) for w in words] == [14, 54, 254, 1254]
+        assert _digest([d for w in words for d in w]) == (
+            "09baedab88462e8ee53e73435b20c482df14e0c92e04d4d998d9674e4d4e80a0")
 
 
 class TestMeasure:

@@ -1,3 +1,4 @@
+import io
 import json
 from importlib import resources
 
@@ -174,3 +175,31 @@ class TestCliContract:
                         "--n", "4")
         assert code == 0
         assert "16" in out
+
+    def test_empty_stdin_digits_is_a_typed_error(self, capsys, schema, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        code, payload = run_json(capsys, "returns", "--beta", "2.5", "--stdin-digits")
+        assert code == 1
+        assert payload["error"] == "NoDigitsError"
+        assert payload["message"] == "no digits supplied on stdin"
+        jsonschema.validate(payload, schema)
+
+    def test_bad_precision_env_exits_two_without_traceback(self, capsys, monkeypatch):
+        monkeypatch.setenv("BETAREC_PRECISION_BITS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--beta", "golden", "--n", "6"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.rstrip().splitlines()[-1] == (
+            "betarec: error: BETAREC_PRECISION_BITS must be an integer, got 'abc'")
+
+    def test_precision_env_still_sets_the_default(self, capsys, monkeypatch):
+        monkeypatch.setenv("BETAREC_PRECISION_BITS", "32")
+        code, payload = run_json(capsys, "count", "--beta", "golden", "--n", "6")
+        assert code == 0
+        assert payload["params"]["precision_bits"] == 64  # clamped to at least 64
+        code, payload = run_json(capsys, "count", "--beta", "golden", "--n", "6",
+                                 "--precision-bits", "100")
+        assert payload["params"]["precision_bits"] == 100

@@ -251,3 +251,11 @@ def test_digit_period(two):
     assert digit_period(v) == 3
     w = OrbitView.from_digits(two, [1, 0, 0, 1, 0, 1, 1, 0, 0, 0, 1, 1])
     assert digit_period(w) is None
+
+
+def test_from_digits_checks_the_alphabet(base25):
+    assert OrbitView.from_digits(base25, []).depth == 0
+    assert OrbitView.from_digits(base25, (0, 2, 1)).digits(3) == [0, 2, 1]
+    for bad in ([0, 3, 1], [2, -1]):
+        with pytest.raises(ValueError, match="alphabet"):
+            OrbitView.from_digits(base25, bad)
