@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .numerics import BoundedReal
+from .numerics import BoundedReal, bisect_root_bounds
 
 
 class PrecisionError(ArithmeticError):
@@ -70,7 +70,6 @@ class RootBracket:
             self.lo = self.hi
         elif (slo > 0) == (shi > 0):
             raise ValueError("endpoints do not bracket a root")
-        self._increasing = poly_eval(self.poly, self.hi) > 0 or self.lo == self.hi
 
     @property
     def degree(self) -> int:
@@ -79,16 +78,8 @@ class RootBracket:
     def refine_to(self, width: Fraction) -> None:
         if self.hi - self.lo <= width:
             return  # the bracket stays put, and so do the cached power bounds
-        while self.hi - self.lo > width:
-            mid = (self.lo + self.hi) / 2
-            s = poly_eval(self.poly, mid)
-            if s == 0:
-                self.lo = self.hi = mid
-                break
-            if (s > 0) == self._increasing:
-                self.hi = mid
-            else:
-                self.lo = mid
+        self.lo, self.hi = bisect_root_bounds(
+            lambda x: poly_eval(self.poly, x), self.lo, self.hi, width / 2)
         self._pow_cache.clear()
 
     def interval(self, bits: int) -> BoundedReal:

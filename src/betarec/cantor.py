@@ -21,7 +21,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .expansion import BetaContext, Word, approximate_beta
 from .numerics import _as_fraction
@@ -301,6 +301,7 @@ class TruncationChoice:
     trunc_ctx: BetaContext
     count: int
     margin: float  # log2(lhs) - log2(beta^(M(1-delta))), logged for reporting
+    universe: BlockPool = field(repr=False, compare=False)  # all full blocks at (N, M)
 
 
 def choose_N_M(ctx: BetaContext, delta, m_cap: int = 64,
@@ -336,7 +337,7 @@ def choose_N_M(ctx: BetaContext, delta, m_cap: int = 64,
             exponent = M * (1 - delta)
             margin = math.log2(float(lhs)) - float(exponent) * math.log2(ctx.beta_float())
             if _power_at_least(lhs, ctx, exponent):
-                return TruncationChoice(N, M, tctx, count, margin)
+                return TruncationChoice(N, M, tctx, count, margin, universe)
             if best is None or margin > best[0]:
                 best = (margin, N, M)
     raise ConstructionError(
@@ -388,7 +389,8 @@ class CantorPlan:
     p_seq: tuple[int, ...] = field(init=False)
     t_seq: tuple[int, ...] = field(init=False)
     q_seq: tuple[int, ...] = field(init=False)
-    _pools: dict = field(default_factory=dict, repr=False)
+    _universe: Optional[BlockPool] = field(default=None, repr=False)
+    _pools: dict[Word, BlockPool] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         ell, p, t, q = [], [], [], []
@@ -409,10 +411,9 @@ class CantorPlan:
         return len(self.n_seq) - 1  # last entry is lookahead for t_K, q_K
 
     def universe(self) -> BlockPool:
-        key = ("universe",)
-        if key not in self._pools:
-            self._pools[key] = BlockPool(self.trunc_ctx, self.ctx, self.M)
-        return self._pools[key]
+        if self._universe is None:
+            self._universe = BlockPool(self.trunc_ctx, self.ctx, self.M)
+        return self._universe
 
     def pool_for(self, u: Word) -> BlockPool:
         if u not in self._pools:
@@ -489,24 +490,62 @@ def build_plan(ctx: BetaContext, r_hat, r, delta="0.1", K: int = 6,
     offset = max(0, 2 * M + 1 - n_cut[0])
     n_seq = tuple(v + offset for v in n_cut)
     m_seq = tuple(v + offset for v in m_cut)
-    universe = BlockPool(tctx, ctx, M)
-    rng = random.Random(seed)
-    while True:
-        u = universe.sample(rng)
-        if any(d != 0 for d in u):
-            break
+    u = _seed_block(choice.universe, random.Random(seed))
     pool = BlockPool(tctx, ctx, M, exclude=tuple(_rotations(u)))
     if pool.size <= 0:
         raise ConstructionError("construction infeasible at this (N, M)")
     bound_ok = _power_at_least(Fraction(pool.size), ctx, M * (1 - delta))
     return CantorPlan(ctx=ctx, trunc_ctx=tctx, r_hat=r_hat, r=r, delta=delta,
                       N=N, M=M, n_seq=n_seq, m_seq=m_seq, seed_word=u,
-                      pool_bound_ok=bound_ok)
+                      pool_bound_ok=bound_ok, _universe=choice.universe,
+                      _pools={u: pool})
 
 
 # ---------------------------------------------------------------------------
-# levels, sampling, measure
+# levels, sampling, measure: one walk along a construction branch
 # ---------------------------------------------------------------------------
+
+
+def _seed_block(universe: BlockPool, rng: random.Random) -> Word:
+    """The level-one seed u: a universe draw, redrawn while it is the zero block."""
+    while True:
+        u = universe.sample(rng)
+        if any(u):
+            return u
+
+
+def _gap_filler(pool: BlockPool, rng: random.Random, t: int, q: int) -> Word:
+    """t blocks drawn from the pool, then q zeros."""
+    filler: list[int] = []
+    for _ in range(t):
+        filler.extend(pool.sample(rng))
+    filler.extend([0] * q)
+    return tuple(filler)
+
+
+def _level_words(plan: CantorPlan, u: Word,
+                 gap: Callable[[int], Word]) -> Iterator[Word]:
+    """The level words u_1, u_2, ... of the branch with seed block u.
+
+    ``gap(k)`` gives the filler v_k between u_(k-1) and its repeat in u_k.
+    It is called only when the caller asks for u_k, so fillers drawn from a
+    random generator take its draws in level order, and nothing is drawn
+    past the last level the caller reads.
+    """
+    word = plan.next_level_word(plan.v1_word(u), (), 1)
+    yield word
+    for k in range(2, plan.levels + 1):
+        word = plan.next_level_word(word, gap(k), k)
+        yield word
+
+
+def _sampled_branch(plan: CantorPlan,
+                    rng: random.Random) -> tuple[BlockPool, Iterator[Word]]:
+    """A branch drawn from rng: its gap pool and its lazily drawn level words."""
+    u = _seed_block(plan.universe(), rng)
+    pool = plan.pool_for(u)
+    return pool, _level_words(
+        plan, u, lambda k: _gap_filler(pool, rng, plan.t_seq[k - 2], plan.q_seq[k - 2]))
 
 
 @dataclass
@@ -538,24 +577,9 @@ def build_levels(plan: CantorPlan, k_max: int, mode: str = "counts",
     if mode == "counts":
         return [LevelSet(k + 1, counts_d[k], counts_g[k]) for k in range(k_max)]
     if mode == "sample":
-        rng = random.Random(seed)
-        universe = plan.universe()
-        while True:
-            u = universe.sample(rng)
-            if any(d != 0 for d in u):
-                break
-        pool = plan.pool_for(u)
-        out = []
-        word = plan.next_level_word(plan.v1_word(u), (), 1)
-        out.append(LevelSet(1, counts_d[0], counts_g[0], [word]))
-        for k in range(2, k_max + 1):
-            filler = []
-            for _ in range(plan.t_seq[k - 2]):
-                filler.extend(pool.sample(rng))
-            filler.extend([0] * plan.q_seq[k - 2])
-            word = plan.next_level_word(word, tuple(filler), k)
-            out.append(LevelSet(k, counts_d[k - 1], counts_g[k - 1], [word]))
-        return out
+        _, words = _sampled_branch(plan, random.Random(seed))
+        return [LevelSet(k, counts_d[k - 1], counts_g[k - 1], [word])
+                for k, word in zip(range(1, k_max + 1), words)]
     if mode == "exhaustive":
         universe = plan.universe()
         branches: list[tuple[Word, Word]] = []  # (u, word)
@@ -597,23 +621,13 @@ def sample_point(plan: CantorPlan, seed: int, depth: int) -> OrbitView:
     if depth > max_depth:
         raise ValueError(f"depth exceeds plan reach {max_depth}")
     rng = random.Random(seed)
-    universe = plan.universe()
-    while True:
-        u = universe.sample(rng)
-        if any(d != 0 for d in u):
-            break
-    pool = plan.pool_for(u)
-    word = list(plan.next_level_word(plan.v1_word(u), (), 1))
-    for k in range(2, plan.levels + 1):
+    pool, words = _sampled_branch(plan, rng)
+    for word in words:
         if len(word) >= depth:
             break
-        filler = []
-        for _ in range(plan.t_seq[k - 2]):
-            filler.extend(pool.sample(rng))
-        filler.extend([0] * plan.q_seq[k - 2])
-        word = list(plan.next_level_word(tuple(word), tuple(filler), k))
-    while len(word) < depth:
-        word.extend(pool.sample(rng))
+    if len(word) < depth:
+        # whole blocks of the gap after the last level
+        word += _gap_filler(pool, rng, -(-(depth - len(word)) // plan.M), 0)
     return OrbitView.from_digits(plan.ctx, word[:depth])
 
 
@@ -640,36 +654,31 @@ def measure(plan: CantorPlan, w: Word) -> Fraction:
         return Fraction(0)
     pool = plan.pool_for(u)
     mass = Fraction(1, d1)
-    word = plan.next_level_word(plan.v1_word(u), (), 1)
-    if n <= len(word):
-        return mass if w == word[:n] else Fraction(0)
-    for k in range(2, plan.levels + 1):
-        if w[: len(word)] != word:
-            return Fraction(0)
-        t_k, q_k = plan.t_seq[k - 2], plan.q_seq[k - 2]
-        gap_start = len(word)
-        filler: list[int] = []
-        for b in range(t_k):
-            lo = gap_start + b * M
-            hi = lo + M
-            if n >= hi:
-                block = w[lo:hi]
-                if block not in pool:
-                    return Fraction(0)
-                mass /= pool.size
-                filler.extend(block)
-            else:
-                # remaining blocks marginalise out; only the partial one counts
-                prefix = w[lo:n]
-                cnt = pool.count_with_prefix(prefix)
-                return mass * Fraction(max(cnt, 0), pool.size)
-        zeros_hi = gap_start + t_k * M + q_k
-        if n < zeros_hi:
-            return mass if all(d == 0 for d in w[gap_start + t_k * M : n]) else Fraction(0)
-        if any(d != 0 for d in w[gap_start + t_k * M : zeros_hi]):
-            return Fraction(0)
-        filler.extend([0] * q_k)
-        word = plan.next_level_word(word, tuple(filler), k)
+    # each gap v_(k+1) = w[m_k : n_(k+1)] is read only once the loop below
+    # has checked its blocks and zeros, which all lie inside w
+    words = _level_words(plan, u, lambda k: w[plan.m_seq[k - 2] : plan.n_seq[k - 1]])
+    for k, word in enumerate(words, start=1):
         if n <= len(word):
             return mass if w == word[:n] else Fraction(0)
+        if k == plan.levels:
+            break
+        if w[: len(word)] != word:
+            return Fraction(0)
+        gap_start = len(word)
+        for b in range(plan.t_seq[k - 1]):
+            lo = gap_start + b * M
+            hi = lo + M
+            if n < hi:
+                # remaining blocks marginalise out; only the partial one counts
+                cnt = pool.count_with_prefix(w[lo:n])
+                return mass * Fraction(max(cnt, 0), pool.size)
+            if w[lo:hi] not in pool:
+                return Fraction(0)
+            mass /= pool.size
+        zeros_lo = gap_start + plan.t_seq[k - 1] * M
+        zeros_hi = zeros_lo + plan.q_seq[k - 1]
+        if any(d != 0 for d in w[zeros_lo : min(n, zeros_hi)]):
+            return Fraction(0)
+        if n < zeros_hi:
+            return mass
     raise ValueError("prefix extends beyond the planned levels")

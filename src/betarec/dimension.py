@@ -179,6 +179,8 @@ def boxcount(points: Sequence[OrbitView], ctx: BetaContext,
         if v.ensure(need) < need:
             raise ValueError("insufficient digit depth for box counting")
         prefixes.append(tuple(v.digits(need)))
+    if not prefixes:
+        raise ValueError("no points to box-count: the point set is empty")
     log_beta = math.log(ctx.beta_float())
     xs = np.array([n * log_beta for n in n_range])
 

@@ -220,21 +220,6 @@ class BetaContext:
                     self._star_period = tuple(digits[:-1]) + (digits[-1] - 1,)
                     return
 
-    def one_expansion(self, n: int) -> Word:
-        """First n digits of the (finite or infinite) expansion of 1, unrewritten."""
-        if self._star_period is not None and not self._one_digits:
-            # context built directly from a known periodic form
-            period = self._star_period
-            m = len(period)
-            raw = period[:-1] + (period[-1] + 1,)
-            out = (raw + (0,) * n)[:n]
-            return out
-        self._extend_one_digits(n)
-        digits = self._one_digits
-        if self._one_terminated is not None and len(digits) < n:
-            return tuple(digits) + (0,) * (n - len(digits))
-        return tuple(digits[:n])
-
     def detect_simple_parry(self, depth: int) -> Optional[int]:
         """Return m when the expansion of 1 terminates at step m <= depth.
 

@@ -87,10 +87,6 @@ class BoundedReal:
         half = (hi - lo) / 2
         return cls(lo + half, half)
 
-    @classmethod
-    def from_decimal(cls, text: str) -> "BoundedReal":
-        return cls(Fraction(text), Fraction(0))
-
     # -- views --------------------------------------------------------------
 
     @property

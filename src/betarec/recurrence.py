@@ -16,7 +16,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -607,9 +607,24 @@ def _check_periodic(view: OrbitView, n_max: int) -> bool:
     return periodic
 
 
-def _positive(lam: np.ndarray) -> np.ndarray:
-    """lam with censored (nan) and non-positive entries read as +0.0."""
-    return np.where(lam > 0, lam, 0.0)
+def _estimate(view: OrbitView, n_max: int,
+              reduce: Callable[[np.ndarray, np.ndarray], float]) -> ExponentEstimate:
+    """The steps both exponent estimates share, around their own reduction.
+
+    After the n_max check and the periodicity sentinel, ``reduce(lam, ns)``
+    gets the whole series, with censored and non-positive entries read as
+    +0.0, and the return times ns of the tail window [n_max/2, n_max];
+    ``lam[ns[0] - 1:]`` is the series over that window.
+    """
+    if n_max < 10:
+        raise ValueError("n_max too small")
+    window = (n_max // 2, n_max)
+    if _check_periodic(view, n_max):
+        return ExponentEstimate(math.inf, n_max, window)
+    series, lam, censored = _lambda_series(view, n_max)
+    positive = np.where(lam > 0, lam, 0.0)  # censored (nan) entries fail the test
+    value = float(reduce(positive, np.arange(window[0], n_max + 1)))
+    return ExponentEstimate(value, n_max, window, series, censored)
 
 
 def estimate_r(view: OrbitView, n_max: int) -> ExponentEstimate:
@@ -618,14 +633,7 @@ def estimate_r(view: OrbitView, n_max: int) -> ExponentEstimate:
     Proxy for the limsup of -log_beta |T^n x - x| / n: the maximum over the
     tail window [n_max/2, n_max], which discards small-n transients.
     """
-    if n_max < 10:
-        raise ValueError("n_max too small")
-    if _check_periodic(view, n_max):
-        return ExponentEstimate(math.inf, n_max, (n_max // 2, n_max))
-    series, lam, censored = _lambda_series(view, n_max)
-    lo_n = n_max // 2
-    best = float((_positive(lam[lo_n - 1:]) / np.arange(lo_n, n_max + 1)).max())
-    return ExponentEstimate(best, n_max, (lo_n, n_max), series, censored)
+    return _estimate(view, n_max, lambda lam, ns: (lam[ns[0] - 1:] / ns).max())
 
 
 def estimate_r_hat(view: OrbitView, n_max: int) -> ExponentEstimate:
@@ -634,15 +642,8 @@ def estimate_r_hat(view: OrbitView, n_max: int) -> ExponentEstimate:
     Proxy for the liminf over N of max_(n<=N) -log_beta |T^n x - x| / N,
     taking the min over the tail window [n_max/2, n_max].
     """
-    if n_max < 10:
-        raise ValueError("n_max too small")
-    if _check_periodic(view, n_max):
-        return ExponentEstimate(math.inf, n_max, (n_max // 2, n_max))
-    series, lam, censored = _lambda_series(view, n_max)
-    lo_n = n_max // 2
-    running = np.maximum.accumulate(_positive(lam))
-    value = float((running[lo_n - 1:] / np.arange(lo_n, n_max + 1)).min())
-    return ExponentEstimate(value, n_max, (lo_n, n_max), series, censored)
+    return _estimate(view, n_max, lambda lam, ns: (
+        np.maximum.accumulate(lam)[ns[0] - 1:] / ns).min())
 
 
 # ---------------------------------------------------------------------------

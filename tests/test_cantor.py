@@ -305,6 +305,45 @@ class TestSamplerPins:
             "09baedab88462e8ee53e73435b20c482df14e0c92e04d4d998d9674e4d4e80a0")
 
 
+class TestBranchWalk:
+    """Sampling, sampled levels and the exact measure walk the same branch."""
+
+    def test_sample_point_follows_sampled_levels(self, plan25):
+        for seed in range(20):
+            levels = build_levels(plan25, 4, mode="sample", seed=seed)
+            for k in range(1, 5):
+                m_k = plan25.m_seq[k - 1]
+                digits = sample_point(plan25, seed, m_k).digits(m_k)
+                assert tuple(digits) == levels[k - 1].words[0], (seed, k)
+
+    def test_deep_measure_pins(self, plan25):
+        # plan25 has M = 4; the gap v_3 spans [54, 129) with zeros from 126,
+        # v_4 spans [254, 629) with zeros from 626; u_3, u_4 end at 254, 1254
+        assert (plan25.M, plan25.m_seq[1:4], plan25.n_seq[2:4]) == (
+            4, (54, 254, 1254), (129, 629))
+        masses = []
+        for seed in range(5):
+            w = build_levels(plan25, 4, mode="sample", seed=seed)[3].words[0]
+            for n in (76, 127, 129, 200, 254, 295, 627, 629, 1254):
+                masses.append(measure(plan25, w[:n]))
+            tail = list(w[:628])
+            tail[627] = 1  # a non-zero digit inside v_4's zero tail
+            masses.append(measure(plan25, tuple(tail)))
+            block = list(w[:300])
+            block[297] = (block[297] + 1) % 3  # a changed digit in a v_4 block
+            masses.append(measure(plan25, tuple(block)))
+        assert sum(m == 0 for m in masses) == 8
+        assert hashlib.sha256("|".join(map(str, masses)).encode()).hexdigest() == (
+            "7204647fcf50f391f925723920979c0c479494af2b35da58f1fa9867ab68c9a8")
+
+    def test_deep_additivity(self, plan25):
+        w = build_levels(plan25, 4, mode="sample", seed=2)[3].words[0]
+        amax = plan25.ctx.alphabet_max
+        for n in (76, 127, 295, 627, 1000):
+            children = sum(measure(plan25, w[:n] + (c,)) for c in range(amax + 1))
+            assert children == measure(plan25, w[:n])
+
+
 class TestMeasure:
     def test_total_mass(self, plan25):
         assert measure(plan25, ()) == 1

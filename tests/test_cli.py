@@ -184,6 +184,18 @@ class TestCliContract:
         assert payload["message"] == "no digits supplied on stdin"
         jsonschema.validate(payload, schema)
 
+    def test_boxcount_without_points_is_a_typed_error(self, capsys, schema, recwarn):
+        code = main(["dim", "boxcount", "--beta", "2.5", "--rhat", "0.2", "--r", "1",
+                     "--delta", "0.9", "--points", "0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        payload = json.loads(captured.out)
+        assert payload["error"] == "ValueError"
+        assert "point set is empty" in payload["message"]
+        jsonschema.validate(payload, schema)
+        assert captured.err == ""
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_bad_precision_env_exits_two_without_traceback(self, capsys, monkeypatch):
         monkeypatch.setenv("BETAREC_PRECISION_BITS", "abc")
         with pytest.raises(SystemExit) as exc:

@@ -112,3 +112,7 @@ class TestBoxcount:
         pts = [OrbitView.from_digits(ctx, [1, 0, 1])]
         with pytest.raises(ValueError):
             boxcount(pts, ctx, range(2, 9))
+
+    def test_empty_point_set(self):
+        with pytest.raises(ValueError, match="point set is empty"):
+            boxcount([], BetaContext.from_value(2), range(2, 9))
