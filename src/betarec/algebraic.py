@@ -3,12 +3,18 @@
 A base given as a root of a monic integer polynomial admits exact orbit
 computation: points of the orbit are elements of Q(beta), stored as integer
 coefficient vectors over a shared denominator in the basis 1, beta, ...,
-beta^(d-1).  Digit extraction needs floor(value), which is decided by
-evaluating the element on a shrinking rational bracket of the root; the only
-time the bracket cannot decide is when the value is exactly an integer, and
-that case is decided exactly by a coefficient test.
+beta^(d-1).
 
-Everything here is internal plumbing for the expansion layer.
+``floor_element`` is the one certified decision over such elements.  It
+evaluates the element on a rational bracket of the root, doubling the
+precision until the floor is certain; the only time no bracket can decide is
+when the value is exactly an integer, and that case is decided exactly by a
+coefficient test.  Digits, signs (floor < 0) and comparisons with 1 (floor 0,
+or floor 1 with a zero remainder) all reduce to it.  Past
+``PRECISION_CAP_BITS`` it raises ``PrecisionError``.
+
+Everything here is internal plumbing for the expansion, recurrence and
+construction layers.
 """
 
 from __future__ import annotations
@@ -18,9 +24,11 @@ from fractions import Fraction
 
 from .numerics import BoundedReal, bisect_root_bounds
 
+PRECISION_CAP_BITS = 1 << 16
+
 
 class PrecisionError(ArithmeticError):
-    """Raised when a digit decision is still ambiguous at the precision cap."""
+    """Raised when a certified floor is still undecided at the precision cap."""
 
 
 def poly_eval(coeffs: tuple[int, ...], x: Fraction) -> Fraction:
@@ -112,13 +120,12 @@ def floor_element(
     den: int,
     root: RootBracket,
     bits: int,
-    max_bits: int,
 ) -> int:
     """Floor of (sum vec[i] * root**i) / den, decided with certainty.
 
-    Escalates the root bracket up to max_bits; if the value sits exactly on
-    an integer the coefficient test decides it, otherwise the bracket
-    eventually separates the value from the boundary.
+    Doubles the precision from bits up to PRECISION_CAP_BITS; if the value
+    sits exactly on an integer the coefficient test decides it, otherwise
+    the bracket eventually separates the value from the boundary.
     """
     if den <= 0:
         raise ValueError("denominator must be positive")
@@ -144,8 +151,8 @@ def floor_element(
             probe[0] -= f_hi * den
             if all(c == 0 for c in probe):
                 return f_hi
-        if bits >= max_bits:
+        if bits >= PRECISION_CAP_BITS:
             raise PrecisionError(
                 f"floor undecided between {f_lo} and {f_hi} at {bits} bits"
             )
-        bits = min(2 * bits, max_bits)
+        bits = min(2 * bits, PRECISION_CAP_BITS)

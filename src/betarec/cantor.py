@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
+from .algebraic import floor_element, multiply_by_root
 from .expansion import BetaContext, Word, approximate_beta
 from .numerics import _as_fraction
 from .recurrence import OrbitView
@@ -282,16 +283,18 @@ def _power_at_least(value: Fraction, ctx: BetaContext, exponent: Fraction) -> bo
     beta = ctx.beta_fraction
     if beta is not None:
         return lhs >= beta**a
-    bits = 128
-    while True:
-        iv = ctx.beta_bounds(bits).powi(a)
-        if lhs >= iv.hi:
-            return True
-        if lhs < iv.lo:
-            return False
-        bits *= 2
-        if bits > 1 << 14:
-            raise ArithmeticError("feasibility comparison undecidable")
+    # lhs = p/q >= beta^a  <=>  q beta^a / p <= 1 when a >= 0, else p beta^-a / q >= 1
+    p, q = lhs.numerator, lhs.denominator
+    num, den = (q, p) if a >= 0 else (p, q)
+    root = ctx.exact
+    vec = [num] + [0] * (root.degree - 1)
+    for _ in range(abs(a)):
+        vec = multiply_by_root(vec, root.poly)
+    fl = floor_element(vec, den, root, ctx.precision_bits)
+    if a < 0:
+        return fl >= 1
+    vec[0] -= den
+    return fl == 0 or (fl == 1 and not any(vec))
 
 
 @dataclass(frozen=True)
@@ -468,6 +471,8 @@ def build_plan(ctx: BetaContext, r_hat, r, delta="0.1", K: int = 6,
     whole block (t_k >= 1) and shifted so n_1 > 2M; both operations preserve
     the defining ratio limits.
     """
+    if r == math.inf:
+        raise ValueError("r = inf has no construction plan")
     r_hat = _as_fraction(r_hat)
     r = _as_fraction(r)
     delta = _as_fraction(delta)
@@ -635,8 +640,10 @@ def measure(plan: CantorPlan, w: Word) -> Fraction:
     """Exact mass of the cylinder of w under the construction measure.
 
     Level one splits mass equally over the branch seeds; each deeper level
-    splits equally over its gap-block choices.  Prefixes that leave the
-    construction get mass zero.
+    splits equally over its gap-block choices, and so do the t_K blocks
+    after the last level, which ``sample_point`` draws the same way.
+    Prefixes that leave the construction get mass zero; a branch prefix
+    longer than that reach, m_K + t_K M, raises ValueError.
     """
     n = len(w)
     if n == 0:
@@ -660,11 +667,12 @@ def measure(plan: CantorPlan, w: Word) -> Fraction:
     for k, word in enumerate(words, start=1):
         if n <= len(word):
             return mass if w == word[:n] else Fraction(0)
-        if k == plan.levels:
-            break
         if w[: len(word)] != word:
             return Fraction(0)
         gap_start = len(word)
+        zeros_lo = gap_start + plan.t_seq[k - 1] * M
+        if k == plan.levels and n > zeros_lo:
+            raise ValueError(f"prefix extends beyond the plan reach {zeros_lo}")
         for b in range(plan.t_seq[k - 1]):
             lo = gap_start + b * M
             hi = lo + M
@@ -675,10 +683,8 @@ def measure(plan: CantorPlan, w: Word) -> Fraction:
             if w[lo:hi] not in pool:
                 return Fraction(0)
             mass /= pool.size
-        zeros_lo = gap_start + plan.t_seq[k - 1] * M
         zeros_hi = zeros_lo + plan.q_seq[k - 1]
         if any(d != 0 for d in w[zeros_lo : min(n, zeros_hi)]):
             return Fraction(0)
-        if n < zeros_hi:
+        if n < zeros_hi or k == plan.levels:
             return mass
-    raise ValueError("prefix extends beyond the planned levels")

@@ -40,6 +40,11 @@ def _default_bits() -> int:
     return max(64, int(env)) if env else 192
 
 
+def _exponent(text: str):
+    """An exponent argument: a rational literal, or inf."""
+    return math.inf if text.strip().lower() == "inf" else text
+
+
 def _context(args) -> BetaContext:
     return BetaContext.named(args.beta, precision_bits=args.precision_bits)
 
@@ -338,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = add("cantor", help="construction plans, samples, counts, measure")
     q.add_argument("action", choices=("plan", "sample", "counts", "measure"))
     q.add_argument("--rhat", required=True)
-    q.add_argument("--r", required=True)
+    q.add_argument("--r", type=_exponent, required=True)
     q.add_argument("--delta", default="0.1")
     q.add_argument("--K", type=int, default=6)
     q.add_argument("--k", type=int, default=None)
@@ -349,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = add("dim", help="dimension formulas, exact series, box counts")
     q.add_argument("action", choices=("formula", "series", "boxcount"))
     q.add_argument("--rhat", required=True)
-    q.add_argument("--r", required=True)
+    q.add_argument("--r", type=_exponent, required=True)
     q.add_argument("--delta", default="0.1")
     q.add_argument("--K", type=int, default=6)
     q.add_argument("--k", type=int, default=None)

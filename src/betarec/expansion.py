@@ -14,11 +14,11 @@ points supplied as intervals.
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from .algebraic import (
+    PRECISION_CAP_BITS,
     PrecisionError,
     RootBracket,
     floor_element,
@@ -30,7 +30,6 @@ from .numerics import BoundedReal, _as_fraction
 Word = tuple[int, ...]
 
 DEFAULT_PRECISION_BITS = 192
-PRECISION_CAP_BITS = 1 << 16
 
 
 class DigitIndeterminateError(ArithmeticError):
@@ -103,7 +102,7 @@ class _AlgebraicOrbit:
 
     def next_digit(self) -> int:
         self.vec = multiply_by_root(self.vec, self.root.poly)
-        digit = floor_element(self.vec, self.den, self.root, self.bits, PRECISION_CAP_BITS)
+        digit = floor_element(self.vec, self.den, self.root, self.bits)
         self.vec[0] -= digit * self.den
         return digit
 
@@ -119,8 +118,7 @@ class _AlgebraicOrbit:
 class BetaContext:
     """A base beta > 1 with cached digits of the expansion of 1.
 
-    Issued digit prefixes never change: the cache is append-only behind a
-    lock, so contexts may be shared between threads.
+    Issued digit prefixes never change: the cache is append-only.
     """
 
     def __init__(
@@ -131,7 +129,6 @@ class BetaContext:
     ):
         self.exact = exact
         self.precision_bits = max(64, precision_bits)
-        self._lock = threading.Lock()
         self._one_digits: list[int] = []
         self._one_stream = None
         self._one_terminated: Optional[int] = None
@@ -147,7 +144,7 @@ class BetaContext:
                 raise ValueError("degree-1 bases should be constructed as rationals")
             vec = [0] * exact.degree
             vec[1] = 1
-            fl = floor_element(vec, 1, exact, self.precision_bits, PRECISION_CAP_BITS)
+            fl = floor_element(vec, 1, exact, self.precision_bits)
             # ceil(beta) - 1 equals floor(beta) unless beta is that integer exactly
             is_int = exact.lo <= fl <= exact.hi and poly_eval(exact.poly, Fraction(fl)) == 0
             self.alphabet_max = fl - 1 if is_int else fl
@@ -205,20 +202,19 @@ class BetaContext:
         return _AlgebraicOrbit(self.exact, 1, 1, self.precision_bits)
 
     def _extend_one_digits(self, n: int) -> None:
-        with self._lock:
-            if self._one_terminated is not None:
+        if self._one_terminated is not None:
+            return
+        if self._one_stream is None:
+            self._one_stream = self._orbit_of_one()
+        while len(self._one_digits) < n:
+            self._one_digits.append(self._one_stream.next_digit())
+            if self._one_stream.remainder_is_zero():
+                self._one_terminated = len(self._one_digits)
+                digits = self._one_digits
+                if digits[-1] == 0:
+                    raise AssertionError("terminating expansion must end in a nonzero digit")
+                self._star_period = tuple(digits[:-1]) + (digits[-1] - 1,)
                 return
-            if self._one_stream is None:
-                self._one_stream = self._orbit_of_one()
-            while len(self._one_digits) < n:
-                self._one_digits.append(self._one_stream.next_digit())
-                if self._one_stream.remainder_is_zero():
-                    self._one_terminated = len(self._one_digits)
-                    digits = self._one_digits
-                    if digits[-1] == 0:
-                        raise AssertionError("terminating expansion must end in a nonzero digit")
-                    self._star_period = tuple(digits[:-1]) + (digits[-1] - 1,)
-                    return
 
     def detect_simple_parry(self, depth: int) -> Optional[int]:
         """Return m when the expansion of 1 terminates at step m <= depth.

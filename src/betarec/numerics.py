@@ -171,20 +171,18 @@ class BoundedReal:
         return BoundedReal.from_endpoints(Fraction(0), max(-self.lo, self.hi))
 
     def powi(self, k: int) -> "BoundedReal":
-        """Integer power by repeated interval squaring (k may be negative)."""
+        """Integer power in closed form (k may be negative).
+
+        The image of [lo, hi] under x**k runs between lo**k and hi**k, except
+        that an even power of an interval straddling 0 reaches down to 0.
+        """
         if k == 0:
             return BoundedReal.exact(1)
         if k < 0:
             return BoundedReal.exact(1) / self.powi(-k)
-        acc = BoundedReal.exact(1)
-        base = self
-        e = k
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        a, b = self.lo ** k, self.hi ** k
+        lo = 0 if k % 2 == 0 and self.lo < 0 < self.hi else min(a, b)
+        return BoundedReal.from_endpoints(lo, max(a, b))
 
     def shrink(self, bits: int) -> "BoundedReal":
         """Round outward to denominators 2**bits, bounding representation size.

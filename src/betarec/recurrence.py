@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebraic import RootBracket, multiply_by_root
+from .algebraic import RootBracket, floor_element, multiply_by_root
 from .expansion import (
     BetaContext,
     Word,
@@ -328,47 +328,26 @@ def compare_distance_power(view: OrbitView, n: int, s: int) -> int:
         dist = abs(orbit_point_fraction(view, n) - view.point_fraction())
         target = beta ** (-s)
         return (dist > target) - (dist < target)
-    # algebraic base: run the exact orbit engine n steps, then test the sign
+    # algebraic base: D = T^n x - x over den(x), by Horner over the digits
     x = view.point_fraction()
-    stream = orbit_digit_stream(view.ctx, x)
-    for _ in range(n):
-        stream.next_digit()
     root: RootBracket = view.ctx.exact
+    bits = view.ctx.precision_bits
     den = x.denominator
-    vec = list(stream.vec)
-    vec[0] -= x.numerator  # the stream keeps the same denominator as x
-    # dist = |element|; compare dist * beta^s against 1
-    sign = _element_sign(vec, root)
-    if sign == 0:
-        return -1  # distance 0 is below any positive power
-    if sign < 0:
+    vec = [x.numerator] + [0] * (root.degree - 1)
+    for d in view.digits(n):
+        vec = multiply_by_root(vec, root.poly)
+        vec[0] -= d * den
+    vec[0] -= x.numerator
+    if floor_element(vec, den, root, bits) < 0:
         vec = [-c for c in vec]
+    # |D| beta^s against 1: floor 0 is below, 1 with no remainder is equal
     for _ in range(s):
         vec = multiply_by_root(vec, root.poly)
+    fl = floor_element(vec, den, root, bits)
+    if fl == 0:
+        return -1
     vec[0] -= den
-    return _element_sign(vec, root)
-
-
-def _element_sign(vec: list[int], root: RootBracket, bits: int = 128) -> int:
-    if all(c == 0 for c in vec):
-        return 0
-    while True:
-        pows = root.power_bounds(bits)
-        lo = hi = 0
-        for c, (plo, phi) in zip(vec, pows):
-            if c >= 0:
-                lo += c * plo
-                hi += c * phi
-            else:
-                lo += c * phi
-                hi += c * plo
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        bits *= 2
-        if bits > 1 << 16:
-            raise ArithmeticError("sign undecidable; polynomial may be reducible")
+    return 0 if fl == 1 and not any(vec) else 1
 
 
 # ---------------------------------------------------------------------------

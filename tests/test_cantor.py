@@ -344,6 +344,44 @@ class TestBranchWalk:
             assert children == measure(plan25, w[:n])
 
 
+class TestMeasureTail:
+    """Past the last level, sample_point draws t_K pool blocks; measure follows."""
+
+    @pytest.fixture(scope="class")
+    def plan4(self, base25):
+        return build_plan(base25, "0.2", "1", delta="0.5", K=4, seed=7)
+
+    @staticmethod
+    def branch(plan):
+        m_K = plan.m_seq[plan.levels - 1]
+        reach = m_K + plan.t_seq[plan.levels - 1] * plan.M
+        w = tuple(sample_point(plan, 0, reach).digits(reach))
+        return w, m_K, reach, plan.pool_for(w[: plan.M])
+
+    def test_additivity(self, plan4):
+        w, m_K, reach, _ = self.branch(plan4)
+        amax = plan4.ctx.alphabet_max
+        for n in (m_K, m_K + 5, m_K + plan4.M, reach - 1):
+            children = sum(measure(plan4, w[:n] + (c,)) for c in range(amax + 1))
+            assert children == measure(plan4, w[:n]) > 0
+
+    def test_agrees_with_level_mass(self, plan4):
+        w, m_K, reach, pool = self.branch(plan4)
+        level = Fraction(1, plan4.d1_size() * pool.size ** sum(plan4.t_seq[:-1]))
+        assert measure(plan4, w[:m_K]) == level
+        full, part = divmod(5, plan4.M)
+        start = m_K + full * plan4.M
+        assert measure(plan4, w[: m_K + 5]) == level / pool.size ** full * Fraction(
+            pool.count_with_prefix(w[start : m_K + 5]), pool.size)
+        assert measure(plan4, w) == level / pool.size ** plan4.t_seq[-1]
+
+    def test_error_past_the_reach(self, plan4):
+        w, _, reach, _ = self.branch(plan4)
+        assert reach == 3126
+        with pytest.raises(ValueError, match="plan reach 3126"):
+            measure(plan4, w + (0,))
+
+
 class TestMeasure:
     def test_total_mass(self, plan25):
         assert measure(plan25, ()) == 1

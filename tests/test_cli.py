@@ -46,6 +46,14 @@ class TestCommands:
         assert abs(payload["result"]["value"] - 0.375) < 1e-12
         validate_result(schema, "dim", payload)
 
+    def test_dim_formula_at_r_infinity(self, capsys, schema):
+        code, payload = run_json(capsys, "dim", "formula", "--rhat", "0.2", "--r", "inf")
+        assert code == 0
+        assert payload["result"]["value"] == 0.0
+        assert payload["result"]["countable"] is False
+        assert payload["params"]["r"] == "inf"
+        validate_result(schema, "dim", payload)
+
     def test_admissible_forbidden(self, capsys, schema):
         code, payload = run_json(capsys, "admissible", "--beta", "golden", "1,1")
         assert code == 0
@@ -158,6 +166,15 @@ class TestCliContract:
         assert code == 1
         assert payload["error"] == "ValueError"
         jsonschema.validate(payload, schema)
+
+    def test_plan_commands_reject_r_infinity(self, capsys, schema):
+        for command in (("cantor", "plan"), ("cantor", "sample"), ("dim", "series")):
+            code, payload = run_json(capsys, *command, "--beta", "2.5",
+                                     "--rhat", "0.2", "--r", "inf")
+            assert code == 1
+            assert payload["error"] == "ValueError"
+            assert payload["message"] == "r = inf has no construction plan"
+            jsonschema.validate(payload, schema)
 
     def test_bad_arguments_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -168,27 +168,3 @@ def test_word_helpers():
     assert word_from_text("102") == (1, 0, 2)
     assert word_from_text("") == ()
 
-
-def test_eps_star_cache_is_append_only_under_threads():
-    import threading
-
-    ctx = BetaContext.from_value("2.5")
-    seen = []
-    errors = []
-
-    def worker(depth):
-        try:
-            for n in range(1, depth):
-                seen.append(ctx.eps_star(n))
-        except Exception as exc:  # surfaced after join
-            errors.append(exc)
-
-    threads = [threading.Thread(target=worker, args=(300,)) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
-    reference = ctx.eps_star(300)
-    for prefix in seen:
-        assert reference[: len(prefix)] == prefix

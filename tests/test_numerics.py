@@ -97,6 +97,13 @@ class TestBoundedReal:
             if b.lo > 0 or b.hi < 0:
                 assert (a / b).contains(ta / tb)
                 ops += 1
+            k = rng.randint(-6, 9)
+            if k >= 0 or a.lo > 0 or a.hi < 0:
+                assert a.powi(k).contains(ta ** k)
+            else:
+                with pytest.raises(IndeterminateSignError):
+                    a.powi(k)
+            ops += 1
 
 
 class TestBisect:

@@ -1,24 +1,34 @@
-"""The vectorised recurrence scans against their scalar reference loops.
+"""The vectorised recurrence scans and the certified Q(beta) decisions
+against their reference loops.
 
-Each oracle below is the straightforward per-position loop that the library
-replaced with numpy expressions.  The arithmetic is the same (the same IEEE
-operations in the same order, exact max/min), so agreement must be exact.
+Each scan oracle below is the straightforward per-position loop that the
+library replaced with numpy expressions.  The arithmetic is the same (the same
+IEEE operations in the same order, exact max/min), so agreement must be exact.
 Oracles and library each get their own view of the same stream, because
 both keep caches on the view.
+
+The decision oracles are the escalation loops that ``floor_element`` replaced:
+an interval sign test, an orbit replay for ``compare_distance_power``, and an
+interval power loop for ``_power_at_least``.  All of them decide exactly, so
+agreement must be exact too.
 """
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from betarec import recurrence
-from betarec.cantor import build_plan, sample_point
-from betarec.expansion import BetaContext
+from betarec.algebraic import multiply_by_root
+from betarec.cantor import _power_at_least, build_plan, sample_point
+from betarec.expansion import BetaContext, orbit_digit_stream
+from betarec.numerics import BoundedReal
 from betarec.recurrence import (
     OrbitView,
+    compare_distance_power,
     digit_period,
     estimate_r,
     estimate_r_hat,
@@ -150,6 +160,81 @@ def oracle_estimate_r_hat(view, n_max):
         if n >= n_max // 2:
             value = min(value, running / n)
     return value, series, censored
+
+
+def oracle_element_sign(vec, root, bits=128):
+    if all(c == 0 for c in vec):
+        return 0
+    while True:
+        pows = root.power_bounds(bits)
+        lo = hi = 0
+        for c, (plo, phi) in zip(vec, pows):
+            if c >= 0:
+                lo += c * plo
+                hi += c * phi
+            else:
+                lo += c * phi
+                hi += c * plo
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        bits *= 2
+        if bits > 1 << 16:
+            raise ArithmeticError("sign undecidable; polynomial may be reducible")
+
+
+def oracle_compare_distance_power(view, n, s):
+    """Sign of |T^n x - x| - beta^-s, replaying the exact orbit n steps."""
+    x = view.point_fraction()
+    stream = orbit_digit_stream(view.ctx, x)
+    for _ in range(n):
+        stream.next_digit()
+    root = view.ctx.exact
+    vec = list(stream.vec)
+    vec[0] -= x.numerator  # the stream keeps the same denominator as x
+    sign = oracle_element_sign(vec, root)
+    if sign == 0:
+        return -1
+    if sign < 0:
+        vec = [-c for c in vec]
+    for _ in range(s):
+        vec = multiply_by_root(vec, root.poly)
+    vec[0] -= x.denominator
+    return oracle_element_sign(vec, root)
+
+
+def oracle_power_at_least(value, ctx, exponent):
+    """value >= beta**exponent by interval powers at doubling precision."""
+    if value <= 0:
+        return False
+    lhs = value ** exponent.denominator
+    bits = 128
+    while True:
+        iv = ctx.beta_bounds(bits).powi(exponent.numerator)
+        if lhs >= iv.hi:
+            return True
+        if lhs < iv.lo:
+            return False
+        bits *= 2
+        if bits > 1 << 14:
+            raise ArithmeticError("feasibility comparison undecidable")
+
+
+def oracle_powi(x, k):
+    """Integer power by repeated interval squaring (k may be negative)."""
+    if k == 0:
+        return BoundedReal.exact(1)
+    if k < 0:
+        return BoundedReal.exact(1) / oracle_powi(x, -k)
+    acc = BoundedReal.exact(1)
+    base = x
+    while k:
+        if k & 1:
+            acc = acc * base
+        base = base * base
+        k >>= 1
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -350,3 +435,66 @@ class TestPeriodicityVerdict:
         estimate_r(v, 500)
         estimate_r_hat(v, 500)
         assert len(calls) == 1
+
+
+def algebraic_bases():
+    return (BetaContext.golden(), BetaContext.from_root((-1, -1, 0, 1), 1, 2))
+
+
+class TestCertifiedDecisions:
+    def test_compare_distance_power_on_point_views(self):
+        rng = random.Random(51)
+        for ctx in algebraic_bases():
+            for _ in range(6):
+                x = Fraction(rng.randrange(1, 10**6), 10**6 + rng.randrange(1, 999))
+                view = OrbitView.from_point(ctx, x)
+                ref = OrbitView.from_point(ctx, x)
+                for n in (1, 2, 5, 17, 60):
+                    lam = neg_log_distance(view, n)
+                    centre = math.floor(lam.lo)
+                    for s in range(max(centre - 2, 0), centre + 3):
+                        assert compare_distance_power(view, n, s) == \
+                            oracle_compare_distance_power(ref, n, s), (x, n, s)
+
+    def test_periodic_point_is_below_every_power(self):
+        # 1/2 is a fixed point of T^3 in the golden base: the distance is 0
+        ctx = BetaContext.golden()
+        view = OrbitView.from_point(ctx, Fraction(1, 2))
+        for s in (0, 1, 7):
+            assert compare_distance_power(view, 3, s) == -1
+            assert oracle_compare_distance_power(view, 3, s) == -1
+
+    def test_power_at_least_grid(self):
+        sqrt2 = BetaContext.from_root((-2, 0, 1), 1, 2)
+        exponents = [Fraction(a, b) for a in range(-5, 9) for b in (1, 2, 3)]
+        for ctx in algebraic_bases() + (sqrt2,):
+            for value in [Fraction(k, 8) for k in range(1, 60, 3)]:
+                for exponent in exponents:
+                    lhs = value ** exponent.denominator
+                    a = exponent.numerator
+                    if ctx is sqrt2 and a % 2 == 0 and lhs == Fraction(2) ** (a // 2):
+                        continue  # an exact equality the oracle cannot settle
+                    assert _power_at_least(value, ctx, exponent) == \
+                        oracle_power_at_least(value, ctx, exponent), (value, exponent)
+
+    def test_power_at_least_settles_exact_equality(self):
+        sqrt2 = BetaContext.from_root((-2, 0, 1), 1, 2)
+        start = time.perf_counter()
+        assert _power_at_least(Fraction(2), sqrt2, Fraction(2)) is True
+        assert _power_at_least(Fraction(4), sqrt2, Fraction(8, 2)) is True
+        assert _power_at_least(Fraction(1, 2), sqrt2, Fraction(-2)) is True
+        assert _power_at_least(Fraction(2), sqrt2, Fraction(3)) is False
+        assert time.perf_counter() - start < 0.5
+
+    def test_powi_matches_repeated_squaring(self):
+        rng = random.Random(52)
+        for _ in range(2000):
+            lo = Fraction(rng.randint(-300, 300), rng.randint(1, 30))
+            x = BoundedReal.from_endpoints(lo, lo + Fraction(rng.randint(0, 40), 20))
+            k = rng.randint(0, 9)
+            got, ref = x.powi(k), oracle_powi(x, k)
+            if x.lo < 0 < x.hi:
+                # straddling 0: still an enclosure, and never looser
+                assert ref.lo <= got.lo <= got.hi <= ref.hi
+            else:
+                assert got == ref
