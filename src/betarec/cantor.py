@@ -186,11 +186,12 @@ class BlockPool:
     def _build_table(self) -> None:
         """One row per (position, product state) with completions left.
 
-        A row is (total, cumulative weights, digits, successor rows) over the
-        digits whose completion count is non-zero, so a draw below ``total``
-        selects its digit by bisection and walks straight to the next row.
-        Zero-weight digits can never be selected, so dropping them changes
-        no draw's outcome.
+        A row is (total, bit length of total, cumulative weights, choices)
+        over the digits whose completion count is non-zero, each choice a
+        (digit, successor row) pair, so a draw below ``total`` selects its
+        choice by bisection and walks straight to the next row.  Zero-weight
+        digits can never be selected, so dropping them changes no draw's
+        outcome.
         """
         rows: dict[tuple[int, int], tuple] = {}
         for t in range(self.M - 1, -1, -1):
@@ -200,8 +201,7 @@ class BlockPool:
                 if count == 0:
                     continue
                 cum: list[int] = []
-                digits: list[int] = []
-                succ: list[Optional[tuple]] = []
+                choices: list[tuple[int, Optional[tuple]]] = []
                 acc = 0
                 for c in range(self._amax + 1):
                     s2 = self._step(s, c)
@@ -209,9 +209,8 @@ class BlockPool:
                     if w:
                         acc += w
                         cum.append(acc)
-                        digits.append(c)
-                        succ.append(nxt.get(s2))
-                rows[s] = (acc, cum, digits, succ)
+                        choices.append((c, nxt.get(s2)))
+                rows[s] = (acc, acc.bit_length(), cum, choices)
         self._root = rows.get((0, 0))
         self._excluded = frozenset(self.exclude)
 
@@ -220,15 +219,20 @@ class BlockPool:
             raise ConstructionError("construction infeasible at this (N, M)")
         if self._excluded is None:
             self._build_table()
-        randrange = rng.randrange
+        # randrange(total) inlined: CPython draws getrandbits(k), k the bit
+        # length of total, until the value falls below total, so the values
+        # and the generator state match randrange's (pinned by a test)
+        getrandbits = rng.getrandbits
         while True:
             digits: list[int] = []
             row = self._root
             while row is not None:
-                total, cum, digs, succ = row
-                i = bisect_right(cum, randrange(total))
-                digits.append(digs[i])
-                row = succ[i]
+                total, k, cum, choices = row
+                r = getrandbits(k)
+                while r >= total:
+                    r = getrandbits(k)
+                c, row = choices[bisect_right(cum, r)]
+                digits.append(c)
             word = tuple(digits)
             if word not in self._excluded:
                 return word
@@ -473,6 +477,8 @@ def build_plan(ctx: BetaContext, r_hat, r, delta="0.1", K: int = 6,
     """
     if r == math.inf:
         raise ValueError("r = inf has no construction plan")
+    if r_hat == math.inf:
+        raise ValueError("r_hat = inf has no construction plan")
     r_hat = _as_fraction(r_hat)
     r = _as_fraction(r)
     delta = _as_fraction(delta)

@@ -251,7 +251,7 @@ def cmd_dim(args):
             "countable": dim_mod.is_countable_pair(args.rhat, args.r),
             "uniform_value": dim_mod.dim_uniform(args.rhat),
             "maximizer": dim_mod.maximizer(args.rhat)
-            if _as_fraction(args.rhat) <= 1 else None,
+            if args.rhat != math.inf and _as_fraction(args.rhat) <= 1 else None,
         }
         return result, None
     ctx = _context(args)
@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = add("cantor", help="construction plans, samples, counts, measure")
     q.add_argument("action", choices=("plan", "sample", "counts", "measure"))
-    q.add_argument("--rhat", required=True)
+    q.add_argument("--rhat", type=_exponent, required=True)
     q.add_argument("--r", type=_exponent, required=True)
     q.add_argument("--delta", default="0.1")
     q.add_argument("--K", type=int, default=6)
@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = add("dim", help="dimension formulas, exact series, box counts")
     q.add_argument("action", choices=("formula", "series", "boxcount"))
-    q.add_argument("--rhat", required=True)
+    q.add_argument("--rhat", type=_exponent, required=True)
     q.add_argument("--r", type=_exponent, required=True)
     q.add_argument("--delta", default="0.1")
     q.add_argument("--K", type=int, default=6)

@@ -28,9 +28,11 @@ from .recurrence import OrbitView
 
 def is_countable_pair(r_hat, r) -> bool:
     """True when the exponent pair can only be realised on a countable set."""
-    if r == math.inf:
-        return False
+    if r_hat == math.inf:
+        return True
     r_hat = _as_fraction(r_hat)
+    if r == math.inf:
+        return r_hat > 1  # the limit of the boundary r / (1 + r)
     r = _as_fraction(r)
     return r_hat > r / (1 + r)
 
@@ -38,10 +40,11 @@ def is_countable_pair(r_hat, r) -> bool:
 def dim_prescribed(r_hat, r) -> float:
     """Dimension of the set with both recurrence exponents prescribed.
 
-    Zero in the countable regime and at r = infinity; the formula value
-    (r - (1+r) r_hat) / ((1+r)(r - r_hat)) otherwise.
+    Zero in the countable regime (r_hat = infinity included) and at
+    r = infinity; the formula value (r - (1+r) r_hat) / ((1+r)(r - r_hat))
+    otherwise.
     """
-    if r == math.inf:
+    if r == math.inf or r_hat == math.inf:
         return 0.0
     r_hat = _as_fraction(r_hat)
     r = _as_fraction(r)

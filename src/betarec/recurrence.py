@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -39,29 +40,83 @@ class FormViolationError(AssertionError):
     """A return prefix matched none of the three structural forms."""
 
 
-def z_array(seq: list[int]) -> list[int]:
-    """z[i] = length of the longest common prefix of seq and seq[i:]."""
-    n = len(seq)
-    z = [0] * n
+def _digit_dtype(ctx: BetaContext) -> type:
+    return np.int8 if ctx.alphabet_max <= 127 else np.int64
+
+
+# positions whose match with the prefix is shorter than this are settled by
+# whole-array comparisons; the rest go through the Z-box recursion
+_Z_VECTOR_STEPS = 8
+
+
+def _extend_match(a: np.ndarray, i: int, z: int) -> int:
+    """Largest m >= z with a[:m] == a[i:i+m], given that a[:z] == a[i:i+z].
+
+    Compares slices in chunks that double, so a long match costs a few
+    numpy calls and a short one a single small comparison.
+    """
+    n = a.shape[0]
+    step = 64
+    while i + z < n:
+        end = min(z + step, n - i)
+        diff = a[z:end] != a[i + z : i + end]
+        k = int(diff.argmax())
+        if diff[k]:
+            return z + k
+        z = end
+        step *= 2
+    return z
+
+
+def z_array(seq) -> np.ndarray:
+    """z[i] = length of the longest common prefix of seq and seq[i:].
+
+    Returns an int64 array.  The first phase settles, with
+    ``_Z_VECTOR_STEPS`` whole-array comparisons, every position whose match
+    is shorter than that.  The other positions go through the Z-box
+    recursion (Gusfield, *Algorithms on Strings, Trees and Sequences*, 1997,
+    sec. 1.4) in increasing order.  A match of length m at i makes
+    seq[:i + m] i-periodic, so inside that box z[j] follows from
+    z[j mod i] for all j at once; only the positions whose mirrored match
+    reaches the box edge are extended one by one.  So a match that runs to
+    the end of the stream settles every later position in one step.
+    """
+    a = np.asarray(seq)
+    n = a.shape[0]
+    z = np.zeros(n, dtype=np.int64)
     if n == 0:
         return z
     z[0] = n
-    l = r = 0
-    for i in range(1, n):
-        if i < r:
-            zi = z[i - l]
-            if zi < r - i:
-                z[i] = zi  # the match ends inside the current Z-box
-                continue
-            zi = r - i
+    K = _Z_VECTOR_STEPS
+    alive = np.ones(n, dtype=bool)
+    alive[0] = False
+    for k in range(min(K, n)):
+        alive[n - k:] = False
+        alive[1 : n - k] &= a[1 + k : n] == a[k]
+        z += alive
+    todo = np.flatnonzero(alive)  # z >= K: z holds K, a known match length
+    undecided: deque[int] = deque()  # inside a box, z holds the box bound
+    p = r = 0
+    while True:
+        if undecided:
+            i = undecided.popleft()
+        elif p < todo.shape[0]:
+            i = int(todo[p])
+            p += 1
         else:
-            zi = 0
-        while i + zi < n and seq[zi] == seq[i + zi]:
-            zi += 1
-        z[i] = zi
-        if i + zi > r:
-            l, r = i, i + zi
-    return z
+            return z
+        end = i + _extend_match(a, i, max(int(z[i]), K))
+        z[i] = end - i
+        if end > r:
+            # every position below i is final; in the new part of the box,
+            # z[j] = z[j mod i] when that is shorter than end - j, and
+            # end - j when longer, as a[end] != a[end - i] or end = n
+            q = int(np.searchsorted(todo, end))
+            j = todo[p:q]
+            zk = z[j % i]
+            z[j] = np.minimum(zk, end - j)
+            undecided.extend(j[zk == end - j].tolist())
+            p, r = q, end
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +132,9 @@ class OrbitView:
     its left endpoint, i.e. the digits continue with zeros; analyses must
     stay below the supplied depth to say anything about the intended point.
 
-    The Z-array of the available stream is held once, as a numpy int64
-    array, and rebuilt only when the stream has grown.
+    The available stream is also held as one numpy array (int8 when the
+    alphabet fits), and its Z-array as one int64 array; each is rebuilt only
+    when the stream has grown.
     """
 
     def __init__(self, ctx: BetaContext, digits: list[int],
@@ -87,8 +143,8 @@ class OrbitView:
         self._digits = digits
         self._point = point
         self._stream = stream
+        self._arr: Optional[np.ndarray] = None
         self._z: Optional[np.ndarray] = None
-        self._z_len = 0
         self._periodic: Optional[tuple[tuple[int, int], bool]] = None
 
     @classmethod
@@ -101,9 +157,15 @@ class OrbitView:
     @classmethod
     def from_digits(cls, ctx: BetaContext, digits) -> "OrbitView":
         digits = list(digits)
-        if digits and (min(digits) < 0 or max(digits) > ctx.alphabet_max):
+        try:
+            arr = np.array(digits, dtype=_digit_dtype(ctx))
+        except OverflowError:  # a digit too large for the dtype
+            raise ValueError("digit out of alphabet") from None
+        if digits and (arr.min() < 0 or arr.max() > ctx.alphabet_max):
             raise ValueError("digit out of alphabet")
-        return cls(ctx, digits, None, None)
+        view = cls(ctx, digits, None, None)
+        view._arr = arr
+        return view
 
     @property
     def depth(self) -> int:
@@ -134,13 +196,17 @@ class OrbitView:
             self._point = word_value_fraction(tuple(self._digits), beta)
         return self._point
 
+    def _digit_array(self) -> np.ndarray:
+        """The available stream as a numpy array, built once per depth."""
+        if self._arr is None or self._arr.shape[0] != len(self._digits):
+            self._arr = np.array(self._digits, dtype=_digit_dtype(self.ctx))
+        return self._arr
+
     def z_values(self) -> np.ndarray:
         """The Z-array of the available stream, as a read-only array."""
-        d = len(self._digits)
-        if self._z is None or self._z_len != d:
-            self._z = np.array(z_array(self._digits), dtype=np.int64)
+        if self._z is None or self._z.shape[0] != len(self._digits):
+            self._z = z_array(self._digit_array())
             self._z.flags.writeable = False
-            self._z_len = d
         return self._z
 
     def z(self, n: int) -> int:
@@ -534,9 +600,9 @@ def _lambda_series(view: OrbitView, n_max: int,
     depth = view.depth
     amax = max(view.ctx.alphabet_max, 1)
     # zero padding past the stream: positions that read it are discarded below
-    dtype = np.int8 if amax <= 127 else np.int64
-    d = np.zeros(depth + scan_steps + 1, dtype=dtype)
-    d[:depth] = view._digits
+    arr = view._digit_array()
+    d = np.zeros(depth + scan_steps + 1, dtype=arr.dtype)
+    d[:depth] = arr
     beta_f = view.ctx.beta_float()
     tail = amax / (beta_f - 1.0)
     s = np.zeros(n_max, dtype=np.float64)
@@ -660,7 +726,7 @@ def word_indices(w: Word) -> WordIndices:
         s_seq.append(s)
         if s == n:
             break
-        t_seq.append(s + z[s])
+        t_seq.append(s + int(z[s]))
         prev = s
     return WordIndices(tuple(s_seq), tuple(t_seq), len(t_seq))
 

@@ -305,6 +305,41 @@ class TestSamplerPins:
             "09baedab88462e8ee53e73435b20c482df14e0c92e04d4d998d9674e4d4e80a0")
 
 
+class TestRandrangeInline:
+    """``BlockPool.sample`` draws each digit as CPython's ``randrange(total)``
+    does: getrandbits(total.bit_length()) until the value is below total.
+
+    The sampled digits, and so every pinned digest, rely on that CPython
+    detail; this pins it for every row total of the two pinned plans' pools
+    and for large random totals.
+    """
+
+    @staticmethod
+    def getrandbits_loop(rng, total):
+        k = total.bit_length()
+        r = rng.getrandbits(k)
+        while r >= total:
+            r = rng.getrandbits(k)
+        return r
+
+    def test_matches_randrange(self, base25):
+        totals = {1, 2, 3, (1 << 70) - 1, 1 << 70}
+        for plan in (build_plan(base25, 0, Fraction(1, 2), delta="0.5", K=6, seed=23),
+                     build_plan(BetaContext.golden(), "0.2", "1", delta="0.5",
+                                K=6, seed=11)):
+            pool = plan._pools[plan.seed_word]
+            # a table row's total is the completion count of its state
+            totals |= {c for layer in pool._g[: pool.M] for c in layer.values() if c}
+        wide = random.Random(70)
+        totals |= {wide.randrange(1, 1 << 70) for _ in range(200)}
+        for seed in range(3):
+            ours, ref = random.Random(seed), random.Random(seed)
+            for total in sorted(totals):
+                for _ in range(10):
+                    assert self.getrandbits_loop(ours, total) == ref.randrange(total)
+            assert ours.getstate() == ref.getstate()
+
+
 class TestBranchWalk:
     """Sampling, sampled levels and the exact measure walk the same branch."""
 

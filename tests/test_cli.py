@@ -54,6 +54,15 @@ class TestCommands:
         assert payload["params"]["r"] == "inf"
         validate_result(schema, "dim", payload)
 
+    def test_dim_formula_at_r_hat_infinity(self, capsys, schema):
+        for r in ("1", "inf"):
+            code, payload = run_json(capsys, "dim", "formula", "--rhat", "inf", "--r", r)
+            assert code == 0
+            assert payload["result"] == {"value": 0.0, "countable": True,
+                                         "uniform_value": 0.0, "maximizer": None}
+            assert payload["params"]["rhat"] == "inf"
+            validate_result(schema, "dim", payload)
+
     def test_admissible_forbidden(self, capsys, schema):
         code, payload = run_json(capsys, "admissible", "--beta", "golden", "1,1")
         assert code == 0
@@ -174,6 +183,15 @@ class TestCliContract:
             assert code == 1
             assert payload["error"] == "ValueError"
             assert payload["message"] == "r = inf has no construction plan"
+            jsonschema.validate(payload, schema)
+
+    def test_plan_commands_reject_r_hat_infinity(self, capsys, schema):
+        for command in (("cantor", "plan"), ("cantor", "sample"), ("dim", "series")):
+            code, payload = run_json(capsys, *command, "--beta", "2.5",
+                                     "--rhat", "inf", "--r", "1")
+            assert code == 1
+            assert payload["error"] == "ValueError"
+            assert payload["message"] == "r_hat = inf has no construction plan"
             jsonschema.validate(payload, schema)
 
     def test_bad_arguments_exit_two(self, capsys):

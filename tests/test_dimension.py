@@ -34,6 +34,14 @@ class TestFormulas:
         assert dim_prescribed(0.6, 1) == 0.0
         assert not is_countable_pair(0.5, 1)
 
+    def test_countable_regime_at_infinity(self):
+        # at r = inf the boundary r / (1 + r) is 1; r_hat = inf is countable
+        assert is_countable_pair(2, math.inf)
+        assert not is_countable_pair(1, math.inf)
+        assert is_countable_pair(math.inf, 1)
+        assert is_countable_pair(math.inf, math.inf)
+        assert dim_prescribed(math.inf, 1) == 0.0
+
     def test_uniform(self):
         assert dim_uniform(0) == 1.0
         assert dim_uniform(1) == 0.0

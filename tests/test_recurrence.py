@@ -37,8 +37,8 @@ def base25():
 
 
 def test_z_array():
-    assert z_array([1, 0, 1, 0, 1]) == [5, 0, 3, 0, 1]
-    assert z_array([0, 0, 0]) == [3, 2, 1]
+    assert z_array([1, 0, 1, 0, 1]).tolist() == [5, 0, 3, 0, 1]
+    assert z_array([0, 0, 0]).tolist() == [3, 2, 1]
 
 
 class TestDistance:
@@ -256,6 +256,18 @@ def test_digit_period(two):
 def test_from_digits_checks_the_alphabet(base25):
     assert OrbitView.from_digits(base25, []).depth == 0
     assert OrbitView.from_digits(base25, (0, 2, 1)).digits(3) == [0, 2, 1]
-    for bad in ([0, 3, 1], [2, -1]):
+    for bad in ([0, 3, 1], [2, -1], [0, 300], [-300, 1], [2**70]):
         with pytest.raises(ValueError, match="alphabet"):
             OrbitView.from_digits(base25, bad)
+    # an alphabet too wide for int8 digits
+    wide = BetaContext.from_value("200.5")
+    assert wide.alphabet_max == 200
+    for bad in ([0, 201], [300], [-300], [2**70]):
+        with pytest.raises(ValueError, match="alphabet"):
+            OrbitView.from_digits(wide, bad)
+    rng = random.Random(2)
+    digits = [200, 0, 150] + [rng.randrange(201) for _ in range(600)]
+    v = OrbitView.from_digits(wide, digits)
+    assert v.digits(3) == [200, 0, 150]
+    est = estimate_r_hat(v, 100)
+    assert 0 <= est.value < math.inf and len(est.neg_log) == 100

@@ -294,7 +294,43 @@ class TestZArray:
             seq = random_digits(rng, amax, n)
             if trial % 3 == 0 and n:
                 seq = (seq[: rng.randrange(1, 8)] * n)[:n]  # long self-repeats
-            assert z_array(seq) == oracle_z_array(seq)
+            assert z_array(seq).tolist() == oracle_z_array(seq)
+
+    @staticmethod
+    def assert_matches_oracle(seq):
+        for arr in (seq, np.array(seq, dtype=np.int8)):
+            z = z_array(arr)
+            assert z.dtype == np.int64
+            assert z.tolist() == oracle_z_array(seq)
+
+    def test_long_periodic_streams(self):
+        # a match that runs to the end of the stream settles every later
+        # position at once
+        self.assert_matches_oracle([0] * 100_000)
+        rng = random.Random(5)
+        for p in range(1, 10):
+            block = random_digits(rng, 2, p)
+            self.assert_matches_oracle((block * (20_000 // p + 1))[:20_000 + p // 2])
+
+    def test_long_structured_streams(self):
+        fib, prev = [0, 1], [0]
+        while len(fib) < 50_000:
+            fib, prev = fib + prev, fib
+        self.assert_matches_oracle(fib[:50_000])
+        self.assert_matches_oracle(([0] * 9 + [1]) * 5_000)
+        # the match at 1 stops one digit before the end
+        self.assert_matches_oracle([0] * 50_000 + [1])
+        self.assert_matches_oracle(([2, 0, 1] * 10_000)[:-1] + [2])
+
+    def test_full_depth_construction_point(self, base25):
+        plan = build_plan(base25, "0.2", "1", delta="0.5", K=5, seed=7)
+        k = plan.levels - 1
+        depth = plan.m_seq[k] + plan.t_seq[k] * plan.M
+        self.assert_matches_oracle(sample_point(plan, 3, depth).digits(depth))
+
+    def test_lengths_zero_and_one(self):
+        for seq in ([], [0], [2]):
+            self.assert_matches_oracle(seq)
 
     def test_view_holds_one_int64_array(self, base25):
         v = OrbitView.from_digits(base25, [2, 0, 1, 2, 0, 1, 2, 0])
