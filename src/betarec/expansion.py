@@ -347,23 +347,49 @@ def word_value_fraction(w: Word, beta: Fraction) -> Fraction:
 
 
 def word_sum_bounds(w: Word, ctx: BetaContext, bits: Optional[int] = None) -> BoundedReal:
-    """Enclosure of the finite sum sum(w_i beta^-i), with no tail allowance."""
+    """Enclosure of the finite sum sum(w_i beta^-i), with no tail allowance.
+
+    For an algebraic base this is Horner's rule acc = (acc + d) / beta over
+    the root bracket [p/q, P/Q], rounded outward to the grid 2**-(bits + 64)
+    after every digit.  It runs on the integer endpoints at that scale: a
+    step takes floor((lo + d) * r) and ceil((hi + d) * r), where r is the end
+    of [Q/P, q/p] that the interval product picks by sign.  That replays
+    ``BoundedReal`` interval arithmetic with ``shrink`` exactly, with no
+    Fraction per digit.
+    """
     if isinstance(ctx.exact, Fraction):
         return BoundedReal.exact(word_value_fraction(w, ctx.exact))
     bits = bits or ctx.precision_bits
-    beta = ctx.beta_bounds(bits)
-    binv = BoundedReal.exact(1) / beta
-    acc = BoundedReal.exact(0)
+    root = ctx.exact
+    root.refine_to(Fraction(1, 1 << bits))
+    p, q = root.lo.numerator, root.lo.denominator
+    P, Q = root.hi.numerator, root.hi.denominator
+    shift = bits + 64
+    lo = hi = 0
     for d in reversed(w):
-        acc = ((acc + d) * binv).shrink(bits + 64)
-    return acc
+        a = lo + (d << shift)
+        b = hi + (d << shift)
+        lo = (a * Q) // P if a >= 0 else (a * q) // p
+        hi = -((-b * q) // p) if b >= 0 else -((-b * Q) // P)
+    scale = 1 << shift
+    return BoundedReal.from_endpoints(Fraction(lo, scale), Fraction(hi, scale))
 
 
-def beta_power_bounds(ctx: BetaContext, k: int, bits: Optional[int] = None) -> BoundedReal:
-    """Enclosure of beta**k for integer k (negative k allowed)."""
+def beta_power_bounds(ctx: BetaContext, k: int,
+                      bits: Optional[int] = None) -> tuple[Fraction, Fraction]:
+    """Endpoints (lo, hi) of an enclosure of beta**k, k any integer.
+
+    For an algebraic base they are the bracket's endpoints raised to k, so
+    (1/hi**|k|, 1/lo**|k|) when k < 0.  Callers read the one end they need.
+    """
     if isinstance(ctx.exact, Fraction):
-        return BoundedReal.exact(ctx.exact ** k)
-    return ctx.beta_bounds(bits or ctx.precision_bits).powi(k)
+        v = ctx.exact ** k
+        return v, v
+    root = ctx.exact
+    root.refine_to(Fraction(1, 1 << (bits or ctx.precision_bits)))
+    if k < 0:
+        return root.hi ** k, root.lo ** k
+    return root.lo ** k, root.hi ** k
 
 
 def evaluate_word(w: Word, ctx: BetaContext, bits: Optional[int] = None) -> BoundedReal:
@@ -373,8 +399,8 @@ def evaluate_word(w: Word, ctx: BetaContext, bits: Optional[int] = None) -> Boun
     padding covers every admissible tail.
     """
     s = word_sum_bounds(w, ctx, bits)
-    tail = beta_power_bounds(ctx, -len(w), bits)
-    return BoundedReal.from_endpoints(s.lo, s.hi + tail.hi)
+    _, tail_hi = beta_power_bounds(ctx, -len(w), bits)
+    return BoundedReal.from_endpoints(s.lo, s.hi + tail_hi)
 
 
 def approximate_beta(ctx: BetaContext, N: int) -> BetaContext:

@@ -157,14 +157,13 @@ class OrbitView:
     @classmethod
     def from_digits(cls, ctx: BetaContext, digits) -> "OrbitView":
         digits = list(digits)
-        try:
-            arr = np.array(digits, dtype=_digit_dtype(ctx))
-        except OverflowError:  # a digit too large for the dtype
-            raise ValueError("digit out of alphabet") from None
-        if digits and (arr.min() < 0 or arr.max() > ctx.alphabet_max):
+        arr = np.array(digits)
+        # floats, strings and integers past 64 bits (dtype object) are rejected
+        if digits and (arr.dtype.kind not in "iu"
+                       or arr.min() < 0 or arr.max() > ctx.alphabet_max):
             raise ValueError("digit out of alphabet")
         view = cls(ctx, digits, None, None)
-        view._arr = arr
+        view._arr = arr.astype(_digit_dtype(ctx), copy=False)
         return view
 
     @property
@@ -380,10 +379,10 @@ def recurrence_distance(view: OrbitView, n: int) -> BoundedReal:
         return BoundedReal.exact(abs(orbit_point_fraction(view, n) - view.point_fraction()))
     lam = neg_log_distance(view, n)
     if lam.censored:
-        hi = beta_power_bounds(view.ctx, -int(math.floor(lam.lo))).hi
+        _, hi = beta_power_bounds(view.ctx, -int(math.floor(lam.lo)))
         return BoundedReal.from_endpoints(0, hi)
-    lo_pow = beta_power_bounds(view.ctx, -int(math.floor(lam.hi)) - 1).lo
-    hi_pow = beta_power_bounds(view.ctx, -int(math.floor(lam.lo))).hi
+    lo_pow, _ = beta_power_bounds(view.ctx, -int(math.floor(lam.hi)) - 1)
+    _, hi_pow = beta_power_bounds(view.ctx, -int(math.floor(lam.lo)))
     return BoundedReal.from_endpoints(lo_pow, hi_pow)
 
 

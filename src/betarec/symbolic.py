@@ -128,11 +128,6 @@ class FollowerAutomaton:
     def accepts(self, word: Word) -> bool:
         return self.feed(word) is not None
 
-    def max_digit(self, state: int) -> int:
-        if self.period is not None:
-            return self.pattern[state % self.period]
-        return self.pattern[state]
-
 
 def automaton_for(ctx: BetaContext, depth: int) -> FollowerAutomaton:
     """Automaton for ctx usable on words of length <= depth, cached on the context."""
@@ -255,30 +250,23 @@ def cylinder(w: Word, ctx: BetaContext, refine: int = 24) -> Cylinder:
     """Left endpoint, length, and fullness of the order-n cylinder of w.
 
     The supremum is approached by greedily extending w with maximal
-    admissible digits (which follows the expansion of 1 from the follower
-    state), so `refine` extension steps determine the length within
+    admissible digits, which follows the expansion of 1 from the follower
+    state, so `refine` extension digits determine the length within
     beta^-(n+refine).
     """
+    if refine < 0:
+        raise ValueError(f"refine must be non-negative, got {refine}")
     n = len(w)
-    auto = automaton_for(ctx, n + refine)
-    state = auto.feed(w)
+    state = automaton_for(ctx, n + refine).feed(w)
     if state is None:
         raise ValueError("word is not admissible")
-    ext = []
-    t = state
-    for _ in range(refine):
-        d = auto.max_digit(t)
-        t2 = auto.step(t, d)
-        assert t2 is not None
-        ext.append(d)
-        t = t2
-    full = state == 0
+    ext = ctx.eps_star(state + refine)[state:]
     left = word_sum_bounds(w, ctx)
-    sup_base = word_sum_bounds(w + tuple(ext), ctx)
-    tail = beta_power_bounds(ctx, -(n + refine))
+    sup_base = word_sum_bounds(w + ext, ctx)
+    _, tail_hi = beta_power_bounds(ctx, -(n + refine))
     diff = sup_base - left
-    length = BoundedReal.from_endpoints(diff.lo, diff.hi + tail.hi)
-    return Cylinder(word=w, left=left, length=length, full=full)
+    length = BoundedReal.from_endpoints(diff.lo, diff.hi + tail_hi)
+    return Cylinder(word=w, left=left, length=length, full=state == 0)
 
 
 # ---------------------------------------------------------------------------

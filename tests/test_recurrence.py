@@ -256,7 +256,8 @@ def test_digit_period(two):
 def test_from_digits_checks_the_alphabet(base25):
     assert OrbitView.from_digits(base25, []).depth == 0
     assert OrbitView.from_digits(base25, (0, 2, 1)).digits(3) == [0, 2, 1]
-    for bad in ([0, 3, 1], [2, -1], [0, 300], [-300, 1], [2**70]):
+    for bad in ([0, 3, 1], [2, -1], [0, 300], [-300, 1], [2**70],
+                [1.5, 0, 2], ["1"], [0, "1"], [0.0, 1]):
         with pytest.raises(ValueError, match="alphabet"):
             OrbitView.from_digits(base25, bad)
     # an alphabet too wide for int8 digits

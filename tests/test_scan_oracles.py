@@ -11,6 +11,11 @@ The decision oracles are the escalation loops that ``floor_element`` replaced:
 an interval sign test, an orbit replay for ``compare_distance_power``, and an
 interval power loop for ``_power_at_least``.  All of them decide exactly, so
 agreement must be exact too.
+
+The cylinder oracles are the ``BoundedReal`` loops that the integer kernels
+replaced: Horner with a dyadic ``shrink`` per digit, ``powi`` on the base's
+interval, and the greedy tail built one automaton step at a time.  The
+kernels replay them exactly, so centers, radii and endpoints must be equal.
 """
 
 import math
@@ -20,11 +25,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betarec import recurrence
 from betarec.algebraic import multiply_by_root
 from betarec.cantor import _power_at_least, build_plan, sample_point
-from betarec.expansion import BetaContext, orbit_digit_stream
+from betarec.expansion import (
+    BetaContext,
+    approximate_beta,
+    beta_power_bounds,
+    orbit_digit_stream,
+    word_sum_bounds,
+    word_value_fraction,
+)
 from betarec.numerics import BoundedReal
 from betarec.recurrence import (
     OrbitView,
@@ -35,6 +49,7 @@ from betarec.recurrence import (
     neg_log_distance,
     z_array,
 )
+from betarec.symbolic import Cylinder, automaton_for, cylinder, enumerate_admissible
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +250,47 @@ def oracle_powi(x, k):
         base = base * base
         k >>= 1
     return acc
+
+
+def oracle_word_sum_bounds(w, ctx, bits=None):
+    """Horner over BoundedReal with an outward dyadic shrink after each digit."""
+    if ctx.beta_fraction is not None:
+        return BoundedReal.exact(word_value_fraction(w, ctx.beta_fraction))
+    bits = bits or ctx.precision_bits
+    binv = BoundedReal.exact(1) / ctx.beta_bounds(bits)
+    acc = BoundedReal.exact(0)
+    for d in reversed(w):
+        acc = ((acc + d) * binv).shrink(bits + 64)
+    return acc
+
+
+def oracle_beta_power_bounds(ctx, k, bits=None):
+    if ctx.beta_fraction is not None:
+        return ctx.beta_fraction ** k, ctx.beta_fraction ** k
+    iv = ctx.beta_bounds(bits or ctx.precision_bits).powi(k)
+    return iv.lo, iv.hi
+
+
+def oracle_greedy_tail(w, ctx, refine):
+    """Extend w by the largest digit the follower automaton allows, refine times."""
+    auto = automaton_for(ctx, len(w) + refine)
+    t = auto.feed(w)
+    ext = []
+    for _ in range(refine):
+        d = auto.pattern[t % auto.period if auto.period is not None else t]
+        t = auto.step(t, d)
+        assert t is not None
+        ext.append(d)
+    return tuple(ext)
+
+
+def oracle_cylinder(w, ctx, refine):
+    state = automaton_for(ctx, len(w) + refine).feed(w)
+    left = oracle_word_sum_bounds(w, ctx)
+    diff = oracle_word_sum_bounds(w + oracle_greedy_tail(w, ctx, refine), ctx) - left
+    _, tail_hi = oracle_beta_power_bounds(ctx, -(len(w) + refine))
+    length = BoundedReal.from_endpoints(diff.lo, diff.hi + tail_hi)
+    return Cylinder(word=w, left=left, length=length, full=state == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -534,3 +590,95 @@ class TestCertifiedDecisions:
                 assert ref.lo <= got.lo <= got.hi <= ref.hi
             else:
                 assert got == ref
+
+
+CUBIC = (-1, -1, 0, 1)  # x^3 - x - 1, the smallest Pisot number
+BITS_GRID = (None, 64, 100, 192, 300)
+
+
+def kernel_bases():
+    """Fresh contexts: golden, x^3 - x - 1 and two truncated bases.
+
+    Each call builds new root brackets, so two calls give two contexts whose
+    refinement histories can be compared.
+    """
+    golden = BetaContext.golden()
+    return [golden, BetaContext.from_root(CUBIC, 1, 2),
+            approximate_beta(BetaContext.from_value("2.5"), 5),
+            approximate_beta(golden, 3)]
+
+
+def random_words(rng, amax, count):
+    words = [()]
+    for _ in range(count):
+        n = rng.choice((1, 2, 5, 13, 40, 64))
+        words.append(tuple(rng.randint(-2, amax + 1) for _ in range(n)))
+    return words
+
+
+class TestCylinderKernels:
+    shared_bases = kernel_bases()
+
+    def test_word_sums_and_powers_on_random_cases(self):
+        # the library and the oracle each run on their own contexts, in the
+        # same order, so the brackets must also move identically
+        rng = random.Random(71)
+        for ours, ref in zip(kernel_bases(), kernel_bases()):
+            assert ours.exact.poly == ref.exact.poly
+            for w in random_words(rng, ours.alphabet_max, 30):
+                bits = rng.choice(BITS_GRID)
+                assert word_sum_bounds(w, ours, bits) == \
+                    oracle_word_sum_bounds(w, ref, bits), (w, bits)
+                k = rng.randrange(-80, 80)
+                bits = rng.choice(BITS_GRID)
+                assert beta_power_bounds(ours, k, bits) == \
+                    oracle_beta_power_bounds(ref, k, bits), (k, bits)
+                assert (ours.exact.lo, ours.exact.hi) == (ref.exact.lo, ref.exact.hi)
+
+    def test_bracket_refined_past_the_requested_bits(self):
+        rng = random.Random(72)
+        for ctx in kernel_bases():
+            word_sum_bounds((1,), ctx, 384)  # moves the bracket to 384 bits
+            width = ctx.exact.hi - ctx.exact.lo
+            assert 0 < width <= Fraction(1, 1 << 384)
+            for w in random_words(rng, ctx.alphabet_max, 6):
+                for bits in BITS_GRID:
+                    assert word_sum_bounds(w, ctx, bits) == \
+                        oracle_word_sum_bounds(w, ctx, bits), (w, bits)
+            for k in (-80, -1, 0, 1, 79):
+                for bits in BITS_GRID:
+                    assert beta_power_bounds(ctx, k, bits) == \
+                        oracle_beta_power_bounds(ctx, k, bits), (k, bits)
+            assert ctx.exact.hi - ctx.exact.lo == width
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_word_sums_on_drawn_words(self, data):
+        ctx = data.draw(st.sampled_from(self.shared_bases))
+        digits = st.integers(-2, ctx.alphabet_max + 1)
+        w = tuple(data.draw(st.lists(digits, max_size=64)))
+        bits = data.draw(st.sampled_from(BITS_GRID))
+        assert word_sum_bounds(w, ctx, bits) == oracle_word_sum_bounds(w, ctx, bits)
+
+    def test_rational_base(self):
+        ctx = BetaContext.from_value("2.5")
+        rng = random.Random(73)
+        for w in random_words(rng, ctx.alphabet_max, 20):
+            assert word_sum_bounds(w, ctx) == oracle_word_sum_bounds(w, ctx)
+        for k in range(-80, 80, 7):
+            assert beta_power_bounds(ctx, k) == oracle_beta_power_bounds(ctx, k)
+
+    @pytest.mark.parametrize("refine", [0, 1, 24, 40])
+    def test_cylinder_on_every_short_word(self, refine):
+        for ctx in (BetaContext.from_value("2.5"), BetaContext.golden(),
+                    BetaContext.from_root(CUBIC, 1, 2)):
+            for n in range(9):
+                for w in enumerate_admissible(ctx, n):
+                    assert cylinder(w, ctx, refine) == oracle_cylinder(w, ctx, refine), w
+
+    def test_cylinder_past_the_default_automaton_depth(self):
+        # 2.5 is not simple Parry: its automaton is rebuilt deeper for n + refine > 64
+        ctx = BetaContext.from_value("2.5")
+        for w in ((), (0,), (2,), (2, 0, 2), (1, 2, 1, 0)):
+            assert cylinder(w, ctx, 90) == oracle_cylinder(w, ctx, 90), w
+        assert automaton_for(ctx, 0).depth >= 94

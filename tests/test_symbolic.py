@@ -169,6 +169,11 @@ class TestCylinder:
         assert abs(float(c.length.center) - 0.6180339887498949) < 1e-8
         assert c.full
 
+    def test_negative_refine_is_rejected(self, phi, base25):
+        for ctx in (phi, base25):
+            with pytest.raises(ValueError, match="refine"):
+                cylinder((1, 0), ctx, refine=-1)
+
     def test_partition(self, base25):
         # order-n cylinders tile [0, 1) in lexicographic order
         n, refine = 5, 30
