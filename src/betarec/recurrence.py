@@ -247,6 +247,16 @@ class LambdaBounds:
     match_len: int
 
 
+# neg_log_distance first asks for this many digits past n, and stops once
+# the partial sum exceeds 2**certainty_bits times its tail bound
+_LOOKAHEAD = 64
+_CERTAINTY_BITS = 24
+# float steps of the batched difference scan; _lambda_series keeps a float
+# midpoint when |s| exceeds _FLOAT_MARGIN times the tail bound
+_SCAN_STEPS = 48
+_FLOAT_MARGIN = 1 << 20
+
+
 def _scaled_log2(n: int) -> float:
     """log2 of a positive integer, accurate for any size."""
     bl = n.bit_length()
@@ -305,7 +315,7 @@ class _DiffAccumulator:
 
 
 def neg_log_distance(view: OrbitView, n: int,
-                     certainty_bits: int = 24,
+                     certainty_bits: int = _CERTAINTY_BITS,
                      scan_cap: int = 1 << 21) -> LambdaBounds:
     """Bounds on -log_beta |T^n x - x| from the digit stream.
 
@@ -316,7 +326,7 @@ def neg_log_distance(view: OrbitView, n: int,
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if view.ensure(n + 64) <= n:
+    if view.ensure(n + _LOOKAHEAD) <= n:
         raise ValueError("insufficient digit depth")
     j = view.z(n)
     if view.z_censored(n) and view._stream is not None:
@@ -360,6 +370,42 @@ def neg_log_distance(view: OrbitView, n: int,
                                     censored=False, match_len=j)
 
 
+_UNIT = 2.0 ** -53  # unit roundoff of a float64
+
+
+def _difference_scan(d: np.ndarray, beta_f: float, ia: np.ndarray, ib: np.ndarray,
+                     steps: int = _SCAN_STEPS, dbeta: Optional[float] = None
+                     ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """The float difference recurrence s <- beta_f s + d[ia] - d[ib], batched.
+
+    Each position starts from s = 0 and reads one digit pair a step for
+    ``steps`` steps, advancing ia and ib in place, so s approximates
+    S = sum_(i<steps) c_i beta^(steps-1-i) with c_i = d[ia + i] - d[ib + i].
+    Returns s, the running maximum of |s|, and, given dbeta >= |beta_f - beta|,
+    a bound err >= |S - s| carried in the same loop (None otherwise): one
+    rounding each for the product and the sum, u the unit roundoff,
+    err <- err (beta_f + 2 dbeta)(1 + 4u) + (dbeta + 4u beta_f)|s_prev| + 4u|s|.
+    """
+    s = np.zeros(ia.shape[0], dtype=np.float64)
+    max_abs = np.zeros(ia.shape[0], dtype=np.float64)
+    err = None if dbeta is None else np.zeros_like(s)
+    if err is not None:
+        beta_up = (beta_f + 2.0 * dbeta) * (1.0 + 4.0 * _UNIT)
+        grow = dbeta + 4.0 * _UNIT * beta_f
+    for _ in range(steps):
+        if err is not None:
+            err *= beta_up
+            err += grow * np.abs(s)
+        s *= beta_f
+        s += d[ia] - d[ib]
+        if err is not None:
+            err += 4.0 * _UNIT * np.abs(s)
+        np.maximum(max_abs, np.abs(s), out=max_abs)
+        ia += 1
+        ib += 1
+    return s, max_abs, err
+
+
 def orbit_point_fraction(view: OrbitView, n: int) -> Fraction:
     """T^n x exactly, via T^n x = beta^n (x - value of the first n digits)."""
     beta = view.ctx.beta_fraction
@@ -387,8 +433,22 @@ def recurrence_distance(view: OrbitView, n: int) -> BoundedReal:
 
 
 def compare_distance_power(view: OrbitView, n: int, s: int) -> int:
-    """Exact sign of |T^n x - x| - beta^-s  (-1, 0, or 1)."""
+    """Exact sign of |T^n x - x| - beta^-s  (-1, 0, or 1).
+
+    A digit view stands for its left endpoint: digits past its depth read as
+    0.  On a rational base p/q, with j = z(n),
+    T^n x - x = beta^-(j+L) (S_L + R_L), S_L = sum_(i<L) c_i beta^(L-1-i),
+    c_i = d_(n+j+i) - d_(j+i) and |R_L| <= amax q/(p - q).  The digits are
+    read from j on until |S_L| -+ that tail bound lies on one side of
+    beta^(j+L-s), all in integers; once j + L reaches the depth the tail is
+    exactly 0, so a tie is settled exactly.  Point views on a rational base
+    compare exact Fractions; algebraic bases compare |D| beta^s with 1 in
+    Q(beta) by ``floor_element``, which needs the exact point, so a digit view
+    there raises ValueError.
+    """
     beta = view.ctx.beta_fraction
+    if beta is not None and view._stream is None and 0 < n < view.depth:
+        return _compare_left_endpoint(view, n, s, beta)
     if beta is not None:
         dist = abs(orbit_point_fraction(view, n) - view.point_fraction())
         target = beta ** (-s)
@@ -413,6 +473,32 @@ def compare_distance_power(view: OrbitView, n: int, s: int) -> int:
         return -1
     vec[0] -= den
     return 0 if fl == 1 and not any(vec) else 1
+
+
+def _compare_left_endpoint(view: OrbitView, n: int, s: int, beta: Fraction) -> int:
+    """compare_distance_power on a digit view over a rational base."""
+    p, q = beta.numerator, beta.denominator
+    digits = view._digits
+    depth = len(digits)
+    tail = max(view.ctx.alphabet_max, 1) * q  # the tail bound times p - q
+    acc = _DiffAccumulator(view.ctx)
+    i = view.z(n)
+    while True:
+        acc.push((digits[n + i] if n + i < depth else 0) - digits[i])
+        i += 1
+        # with S = n_int/qpow and beta^(i-s) = num/den, compare
+        # |S| -+ amax q/(p - q) with num/den, all times (p - q) den qpow
+        e = i - s
+        num, den = (p**e, q**e) if e >= 0 else (q**-e, p**-e)
+        lhs = abs(acc.n_int) * (p - q) * den
+        rhs = num * (p - q) * acc.qpow
+        if i >= depth:
+            return (lhs > rhs) - (lhs < rhs)
+        slack = tail * den * acc.qpow
+        if lhs - slack > rhs:
+            return 1
+        if lhs + slack < rhs:
+            return -1
 
 
 # ---------------------------------------------------------------------------
@@ -459,42 +545,143 @@ def _depth_from_lambda(view: OrbitView, n: int) -> tuple[Optional[int], bool]:
     return (s if cmp < 0 else s - 1), False
 
 
+def _roots_inside(p: list[int]) -> Optional[int]:
+    """How many roots of sum p[k] z^k lie inside the unit circle; None
+    when one may lie on it.
+
+    The Schur-Cohn recursion, exact in integers: with P*(z) = z^n P(1/z),
+    T = p_0 P - p_n P* has lower degree, and as many roots inside as P when
+    |p_0| > |p_n|, or as many as P has outside when |p_0| < |p_n|.  A root
+    on the circle is a root of every T down the chain, so it shows as a tie
+    |p_0| = |p_n| at some step.
+    """
+    n = len(p) - 1
+    if n == 0:
+        return 0
+    a0, an = abs(p[0]), abs(p[-1])
+    if a0 == an:
+        return None
+    t = [p[0] * x - p[-1] * y for x, y in zip(p, reversed(p))]
+    while t[-1] == 0:  # t[0] = p_0^2 - p_n^2 is not 0
+        t.pop()
+    k = _roots_inside(t)
+    return None if k is None else (k if a0 > an else n - k)
+
+
+def _is_pisot(poly: tuple[int, ...]) -> bool:
+    """Whether every root of poly but one has modulus below 1023/1024.
+
+    Counts the roots of poly(1023 z / 1024) inside the unit circle; the
+    smaller radius keeps units such as the golden ratio off the tie.
+    """
+    n = len(poly) - 1
+    scaled = [c * 1023**k * 1024 ** (n - k) for k, c in enumerate(poly)]
+    return _roots_inside(scaled) == n - 1
+
+
+def _batch_gaps(view: OrbitView, ns: np.ndarray) -> np.ndarray:
+    """ceil(lambda) - 1 at each return time in ns that the float scan
+    settles, under the conditions listed in ``extract_returns``; -1 at the
+    others.  On an algebraic base that is not Pisot, the float value of S_L
+    inside ``neg_log_distance`` can lose many bits, so nothing is settled.
+    """
+    gaps = np.full(ns.shape[0], -1, dtype=np.int64)
+    ctx = view.ctx
+    if ctx.beta_fraction is None and not _is_pisot(ctx.exact.poly):
+        return gaps
+    depth = view.depth
+    j = view.z_values()[ns]
+    sel = np.flatnonzero((ns + _LOOKAHEAD <= depth) & (ns + j + _SCAN_STEPS <= depth))
+    j = j[sel]
+    beta_f = ctx.beta_float()
+    bounds, exact_f = ctx.beta_bounds(64), Fraction(beta_f)
+    dbeta = 2.0 * float(max(exact_f - bounds.lo, bounds.hi - exact_f))
+    s, _, err = _difference_scan(view._digit_array(), beta_f, ns[sel] + j, j.copy(),
+                                 dbeta=dbeta)
+    tail = max(ctx.alphabet_max, 1) / (beta_f - 1.0)
+    abs_s = np.abs(s)
+    low = abs_s - err - tail
+    stops = low > (1.0 + 1e-9) * 2.0**_CERTAINTY_BITS * tail * beta_f
+    lb = math.log(beta_f)
+    slack = 1e-9 - 2.0 * math.log1p(-(2.0**-_CERTAINTY_BITS)) / lb
+    top = j[stops] + _SCAN_STEPS
+    lam_lo = top - np.log(abs_s[stops] + err[stops] + tail) / lb - slack
+    lam_hi = top - np.log(low[stops]) / lb + slack
+    g = np.ceil(lam_lo) - 1
+    same = g == np.ceil(lam_hi) - 1
+    gaps[sel[stops][same]] = g[same]
+    return gaps
+
+
+def _return_gaps(view: OrbitView, ns: np.ndarray):
+    """Yield (n, gap) for each return time in ns, in order; gap is None
+    when censored.  See ``extract_returns``."""
+    start, size = 0, 256
+    while start < ns.shape[0]:
+        chunk = ns[start : start + size]
+        for n, gap in zip(chunk.tolist(), _batch_gaps(view, chunk).tolist()):
+            if gap < 0:
+                gap, censored = _depth_from_lambda(view, n)
+                if censored:
+                    gap = None
+            yield n, gap
+        start += size
+        size *= 2
+
+
 def extract_returns(view: OrbitView, K: int, monotone: bool = True,
                     search_limit: Optional[int] = None) -> ReturnProfile:
     """First K return-profile entries: first-digit recurrences with depths.
 
-    Returns an explicitly truncated profile when the digit budget runs out
-    before K entries are certified.
+    The return times are the n in [1, limit) with d_n = d_0, where limit is
+    the search limit or else the depth.  One float scan of 48 difference
+    digits, carrying a running rounding-error bound err, settles the gap of
+    each n for which all of these hold:
+    (a) n + 64 <= depth and n + z(n) + 48 <= depth;
+    (b) the lower bound |s| - err - amax/(beta - 1) of |S_48| exceeds 2^24
+        times ``neg_log_distance``'s tail bound amax beta/(beta - 1);
+    (c) the lambda interval from |s| -+ (err + amax/(beta - 1)), widened by
+        1e-9 and by the width of ``neg_log_distance``'s own interval, gives
+        one value of ceil(lambda) - 1.
+    By (a) and (b) ``neg_log_distance`` would read no digit past the depth
+    and would stop by L = 48, uncensored; by (c) it would give the same gap
+    with no exact comparison.  Every other n goes through
+    ``_depth_from_lambda``, in order.  So the profile, its truncation and
+    the digits a point view ends up holding are those of certifying every
+    return time one by one.  The scan runs over chunks that double from 256
+    return times, so a profile that fills early scans little.
+
+    Returns an explicitly truncated profile when the return times run out,
+    or a distance is censored, before K entries are certified.  Raises
+    ValueError for a search limit below 1 and for a view of fewer than two
+    digits.
     """
+    if search_limit is not None and search_limit < 1:
+        raise ValueError(f"search_limit must be at least 1, got {search_limit}")
     depth = view.ensure(search_limit or max(view.depth, 4096))
+    if depth < 2:
+        raise ValueError("insufficient digit depth")
     limit = min(search_limit or depth, depth)
     if _check_periodic(view, max(64, limit // 2)):
         raise PeriodicPointError("periodic point")
-    first = view.digit(0)
+    arr = view._digit_array()
+    gaps = _return_gaps(view, np.flatnonzero(arr[1:limit] == arr[0]) + 1)
     n_seq: list[int] = []
     m_seq: list[int] = []
     t_seq: list[int] = []
     best_gap = -1
-    n = 0
     truncated = False
     while len(n_seq) < K:
-        n += 1
-        if n >= limit:
-            truncated = True
-            break
-        if view.digit(n) != first:
-            continue
-        gap, censored = _depth_from_lambda(view, n)
-        if censored:
+        n, gap = next(gaps, (None, None))
+        if gap is None:  # no return time left, or a censored one
             truncated = True
             break
         if monotone and gap <= best_gap:
             continue
         best_gap = gap
-        t = n + view.z(n)
         n_seq.append(n)
         m_seq.append(n + gap)
-        t_seq.append(t)
+        t_seq.append(n + view.z(n))
     return ReturnProfile(n_seq, m_seq, t_seq, monotone, truncated)
 
 
@@ -570,7 +757,7 @@ class ExponentEstimate:
 
 
 def _lambda_series(view: OrbitView, n_max: int,
-                   scan_steps: int = 48) -> tuple[list[float], np.ndarray, int]:
+                   scan_steps: int = _SCAN_STEPS) -> tuple[list[float], np.ndarray, int]:
     """Midpoints of -log_beta |T^n x - x| for n = 1..n_max, batched.
 
     A fixed number of float recurrence steps settles the vast majority of
@@ -604,19 +791,11 @@ def _lambda_series(view: OrbitView, n_max: int,
     d[:depth] = arr
     beta_f = view.ctx.beta_float()
     tail = amax / (beta_f - 1.0)
-    s = np.zeros(n_max, dtype=np.float64)
-    max_abs = np.zeros(n_max, dtype=np.float64)
     ia = n_arr + j_arr
-    ib = j_arr.copy()
     bad = ia + (scan_steps - 1) >= depth
-    for _ in range(scan_steps):
-        s *= beta_f
-        s += d[ia] - d[ib]
-        np.maximum(max_abs, np.abs(s), out=max_abs)
-        ia += 1
-        ib += 1
+    s, max_abs, _ = _difference_scan(d, beta_f, ia, j_arr.copy(), scan_steps)
     abs_s = np.abs(s)
-    ok = (~bad) & (abs_s > (1 << 20) * tail) & (max_abs < (1 << 20) * abs_s)
+    ok = (~bad) & (abs_s > _FLOAT_MARGIN * tail) & (max_abs < _FLOAT_MARGIN * abs_s)
     lam = np.full(n_max, np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
         lam[ok] = j_arr[ok] + scan_steps - np.log(abs_s[ok]) / math.log(beta_f)

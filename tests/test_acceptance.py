@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line
+that ends with the criterion's own wall time.
 
 Runs on five bases (golden ratio, 1.8, 2, 2.5, 3.7) where the criterion is
 base-parametric.  The construction-based criteria fix beta = 2.5 (an exact
@@ -41,9 +42,19 @@ from betarec.symbolic import (
 
 GRID = 100_000
 
+_started = [0.0]
+
+
+@pytest.fixture(autouse=True)
+def _criterion_clock():
+    """Start each criterion's clock; module-scoped fixtures are built before."""
+    _started[0] = time.perf_counter()
+
 
 def _report(num: int, ok: bool, detail: str) -> None:
-    print(f"\n[criterion {num:02d}] {'PASS' if ok else 'FAIL'}  {detail}")
+    elapsed = time.perf_counter() - _started[0]
+    print(f"\n[criterion {num:02d}] {'PASS' if ok else 'FAIL'}  {detail}  "
+          f"[{elapsed:.2f} s]")
     assert ok, f"criterion {num}: {detail}"
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from importlib import resources
@@ -5,7 +6,9 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from betarec.cantor import build_plan, sample_point
 from betarec.cli import main
+from betarec.expansion import BetaContext, word_text
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +222,17 @@ class TestCliContract:
         assert payload["message"] == "no digits supplied on stdin"
         jsonschema.validate(payload, schema)
 
+    def test_returns_rejects_a_search_limit_below_one(self, capsys, schema):
+        for depth in ("0", "-3"):
+            code = main(["returns", "--beta", "2.5", "--x", "0.7137", "--depth", depth])
+            captured = capsys.readouterr()
+            assert code == 1
+            payload = json.loads(captured.out)
+            assert payload["error"] == "ValueError"
+            assert payload["message"] == f"search_limit must be at least 1, got {depth}"
+            jsonschema.validate(payload, schema)
+            assert captured.err == ""
+
     def test_boxcount_without_points_is_a_typed_error(self, capsys, schema, recwarn):
         code = main(["dim", "boxcount", "--beta", "2.5", "--rhat", "0.2", "--r", "1",
                      "--delta", "0.9", "--points", "0"])
@@ -250,3 +264,35 @@ class TestCliContract:
         code, payload = run_json(capsys, "count", "--beta", "golden", "--n", "6",
                                  "--precision-bits", "100")
         assert payload["params"]["precision_bits"] == 100
+
+
+class TestPinnedEnvelopes:
+    """sha256 of whole ``returns`` envelopes at fixed inputs.
+
+    They pin the return depths and the bracketing verdicts, on a point view
+    and on a digit view, so faster kernels must give the same bytes.  The
+    envelopes hold only integers, booleans and strings, so they are exact on
+    every platform.
+    """
+
+    def digest(self, capsys, *argv):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    def test_readme_returns_command(self, capsys, monkeypatch):
+        monkeypatch.delenv("BETAREC_PRECISION_BITS", raising=False)
+        assert self.digest(capsys, "returns", "--beta", "2.5", "--x", "0.7137",
+                           "--K", "5") == \
+            "936e08b65da3e37f7aa6d51c38ed011ccdd7df393de9877959ee7cf9d70ab994"
+
+    def test_criterion_5_sample_on_stdin(self, capsys, monkeypatch):
+        monkeypatch.delenv("BETAREC_PRECISION_BITS", raising=False)
+        plan = build_plan(BetaContext.from_value("2.5"), "0.2", "1", delta="0.5", K=6,
+                          seed=11)
+        view = sample_point(plan, 1000, plan.m_seq[4] + 200)
+        monkeypatch.setattr("sys.stdin", io.StringIO(word_text(tuple(view.digits(view.depth)))))
+        assert self.digest(capsys, "returns", "--beta", "2.5", "--stdin-digits",
+                           "--all-returns", "--K", "40",
+                           "--depth", str(plan.n_seq[4] + 10)) == \
+            "f4639ff4bf5eabe3816b05553233411b43c7d783c6e8fa6e41cbbb6c140ff90d"

@@ -1,15 +1,25 @@
-"""Property tests for the beta-shift language.
+"""Property tests for the beta-shift language and the batched return depths.
 
 The follower automaton is checked against the direct suffix-by-suffix
 definition of admissibility, and the counting recursion against the
 enumeration, on bases of every kind the automaton handles: periodic (simple
 Parry, integer) and depth-bounded (not simple Parry).
+
+The float lambda batch is checked against ``neg_log_distance`` on drawn
+digit streams: the midpoints of ``_lambda_series`` lie in the per-position
+bounds, and the gaps ``_batch_gaps`` settles are those of
+``_depth_from_lambda``.
 """
 
+import math
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betarec import recurrence
 from betarec.expansion import BetaContext, approximate_beta
+from betarec.recurrence import OrbitView, neg_log_distance
 from betarec.symbolic import (
     count_admissible,
     enumerate_admissible,
@@ -55,3 +65,57 @@ def test_automaton_agrees_with_the_suffix_definition(data):
 def test_count_agrees_with_enumeration(name, n):
     ctx = BASES[name]
     assert count_admissible(ctx, n) == sum(1 for _ in enumerate_admissible(ctx, n))
+
+
+RETURN_BASES = {
+    "2.5": BASES["2.5"],
+    "3": BASES["3"],
+    "golden": BASES["golden"],
+    "x^3-x-1": BASES["x^3-x-1"],
+    "7/5": BetaContext.from_value("7/5"),
+}
+
+
+@st.composite
+def digit_streams(draw, ctx):
+    """Free digits, or a block repeated with a few digits changed: the
+    second kind has long matches and deep near-returns."""
+    amax = ctx.alphabet_max
+    length = draw(st.integers(64, 320))
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(0, amax), min_size=length, max_size=length))
+    block = draw(st.lists(st.integers(0, amax), min_size=1, max_size=12))
+    word = (block * (length // len(block) + 1))[:length]
+    for _ in range(draw(st.integers(1, 8))):
+        word[draw(st.integers(0, length - 1))] = draw(st.integers(0, amax))
+    return word
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_lambda_series_midpoints_lie_in_the_per_position_bounds(data):
+    ctx = RETURN_BASES[data.draw(st.sampled_from(sorted(RETURN_BASES)))]
+    digits = data.draw(digit_streams(ctx))
+    series, _, _ = recurrence._lambda_series(OrbitView.from_digits(ctx, digits),
+                                             min(len(digits) - 1, 80))
+    ref = OrbitView.from_digits(ctx, digits)
+    # a float midpoint is kept when the tail stays below 1/_FLOAT_MARGIN of
+    # the partial sum, which moves lambda by at most -log_beta(1 - 1/margin)
+    tol = -2.0 * math.log1p(-1.0 / recurrence._FLOAT_MARGIN) / math.log(ctx.beta_float())
+    for n, mid in enumerate(series, start=1):
+        if not math.isnan(mid):
+            lam = neg_log_distance(ref, n)
+            assert lam.lo - tol <= mid <= lam.hi + tol, (n, mid, lam)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_batched_gaps_equal_the_per_position_gaps(data):
+    ctx = RETURN_BASES[data.draw(st.sampled_from(sorted(RETURN_BASES)))]
+    digits = data.draw(digit_streams(ctx))
+    view, ref = OrbitView.from_digits(ctx, digits), OrbitView.from_digits(ctx, digits)
+    arr = view._digit_array()
+    ns = np.flatnonzero(arr[1:] == arr[0]) + 1
+    for n, gap in zip(ns.tolist(), recurrence._batch_gaps(view, ns).tolist()):
+        if gap >= 0:
+            assert recurrence._depth_from_lambda(ref, n) == (gap, False), n

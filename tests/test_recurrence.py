@@ -112,6 +112,18 @@ class TestProfiles:
             assert verify_bracketing(v, prof, k)
             assert prof.t_seq[k] <= prof.m_seq[k] + 1
 
+    def test_search_limit_below_one_is_a_typed_error(self, base25):
+        for limit in (0, -5):
+            v = OrbitView.from_point(base25, Fraction(7137, 10000))
+            with pytest.raises(ValueError, match="search_limit must be at least 1"):
+                extract_returns(v, 3, search_limit=limit)
+
+    def test_fewer_than_two_digits_is_a_typed_error(self, base25):
+        for digits in ([], [1]):
+            v = OrbitView.from_digits(base25, digits)
+            with pytest.raises(ValueError, match="^insufficient digit depth$"):
+                extract_returns(v, 3)
+
     def test_periodic_raises(self, two):
         v = OrbitView.from_point(two, Fraction(1, 3))
         with pytest.raises(PeriodicPointError):

@@ -16,8 +16,14 @@ The cylinder oracles are the ``BoundedReal`` loops that the integer kernels
 replaced: Horner with a dyadic ``shrink`` per digit, ``powi`` on the base's
 interval, and the greedy tail built one automaton step at a time.  The
 kernels replay them exactly, so centers, radii and endpoints must be equal.
+
+The return oracles are the loop that certifies every first-digit recurrence
+one by one with ``_depth_from_lambda``, and the Fraction comparison of a
+digit view's left endpoint that the integer comparison replaced.  Profiles,
+the digits a view ends up holding, and comparison signs must be equal.
 """
 
+import itertools
 import math
 import random
 import time
@@ -42,11 +48,15 @@ from betarec.expansion import (
 from betarec.numerics import BoundedReal
 from betarec.recurrence import (
     OrbitView,
+    PeriodicPointError,
+    ReturnProfile,
     compare_distance_power,
     digit_period,
     estimate_r,
     estimate_r_hat,
+    extract_returns,
     neg_log_distance,
+    orbit_point_fraction,
     z_array,
 )
 from betarec.symbolic import Cylinder, automaton_for, cylinder, enumerate_admissible
@@ -217,6 +227,44 @@ def oracle_compare_distance_power(view, n, s):
         vec = multiply_by_root(vec, root.poly)
     vec[0] -= x.denominator
     return oracle_element_sign(vec, root)
+
+
+def oracle_extract_returns(view, K, monotone=True, search_limit=None):
+    """Certify every first-digit recurrence in order, one position at a time."""
+    depth = view.ensure(search_limit or max(view.depth, 4096))
+    limit = min(search_limit or depth, depth)
+    if recurrence._check_periodic(view, max(64, limit // 2)):
+        raise PeriodicPointError("periodic point")
+    first = view.digit(0)
+    n_seq, m_seq, t_seq = [], [], []
+    best_gap = -1
+    n = 0
+    truncated = False
+    while len(n_seq) < K:
+        n += 1
+        if n >= limit:
+            truncated = True
+            break
+        if view.digit(n) != first:
+            continue
+        gap, censored = recurrence._depth_from_lambda(view, n)
+        if censored:
+            truncated = True
+            break
+        if monotone and gap <= best_gap:
+            continue
+        best_gap = gap
+        n_seq.append(n)
+        m_seq.append(n + gap)
+        t_seq.append(n + view.z(n))
+    return ReturnProfile(n_seq, m_seq, t_seq, monotone, truncated)
+
+
+def oracle_compare_left_endpoint(view, n, s):
+    """Sign of |T^n x - x| - beta^-s on the exact Fraction of the view's point."""
+    dist = abs(orbit_point_fraction(view, n) - view.point_fraction())
+    target = view.ctx.beta_fraction ** -s
+    return (dist > target) - (dist < target)
 
 
 def oracle_power_at_least(value, ctx, exponent):
@@ -682,3 +730,222 @@ class TestCylinderKernels:
         for w in ((), (0,), (2,), (2, 0, 2), (1, 2, 1, 0)):
             assert cylinder(w, ctx, 90) == oracle_cylinder(w, ctx, 90), w
         assert automaton_for(ctx, 0).depth >= 94
+
+
+def return_bases():
+    return {"2.5": BetaContext.from_value("2.5"), "golden": BetaContext.golden(),
+            "x^3-x-1": BetaContext.from_root(CUBIC, 1, 2),
+            "7/5": BetaContext.from_value("7/5"), "3": BetaContext.from_value(3)}
+
+
+def return_streams(ctx, rng, depths):
+    """Digit lists of each depth: the expansion of a random point, and a
+    random prefix that recurs further on with one digit changed now and
+    then, which makes deep returns."""
+    free = OrbitView.from_point(ctx, Fraction(rng.getrandbits(64), 1 << 64))
+    free = free.digits(2 * max(depths))
+    streams = []
+    for depth in depths:
+        start = rng.randrange(depth)
+        streams.append(free[start : start + depth])
+        head = free[start : start + rng.randrange(8, 40)]
+        word = list(head)
+        while len(word) < depth:
+            block = list(head[: rng.randrange(1, len(head) + 1)])
+            if rng.random() < 0.7:
+                block[rng.randrange(len(block))] = rng.randrange(ctx.alphabet_max + 1)
+            cut = rng.randrange(len(free) - 30)
+            word += block + free[cut : cut + rng.randrange(30)]
+        streams.append(word[:depth])
+    return streams
+
+
+def outcome(call):
+    """What a call returns, or the type and message of the error it raises."""
+    try:
+        return call()
+    except ValueError as exc:  # PeriodicPointError included
+        return type(exc).__name__, str(exc)
+
+
+def first_digit_returns(view):
+    arr = view._digit_array()
+    return np.flatnonzero(arr[1:] == arr[0]) + 1
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    inner = getattr(recurrence, name)
+
+    def counted(*args):
+        calls.append(args[1])
+        return inner(*args)
+    monkeypatch.setattr(recurrence, name, counted)
+    return calls
+
+
+class TestReturnKernels:
+    def per_position_gaps(self, view, ns):
+        out = []
+        for n in ns:
+            gap, censored = recurrence._depth_from_lambda(view, n)
+            out.append((n, None if censored else gap))
+        return out
+
+    def test_every_return_gap_matches_the_per_position_routine(self):
+        rng = random.Random(81)
+        for name, ctx in return_bases().items():
+            makers = [lambda d=d: OrbitView.from_digits(ctx, d)
+                      for d in return_streams(ctx, rng, (150, 600))]
+            x = Fraction(rng.getrandbits(64), 1 << 64)
+            makers.append(lambda: OrbitView.from_point(ctx, x))
+            for make in makers:
+                view, ref = make(), make()
+                view.ensure(600)
+                ref.ensure(600)
+                ns = first_digit_returns(view).tolist()
+                assert outcome(lambda: list(recurrence._return_gaps(view, np.array(ns)))) \
+                    == outcome(lambda: self.per_position_gaps(ref, ns)), name
+                assert view.depth == ref.depth
+
+    def test_settled_positions_need_no_exact_step(self, monkeypatch):
+        # a settled position is one the per-position routine answers alike,
+        # with no exact comparison and no new digits
+        compares = count_calls(monkeypatch, "compare_distance_power")
+        rng = random.Random(82)
+        settled = total = 0
+        for name, ctx in return_bases().items():
+            views = [(OrbitView.from_digits(ctx, d), OrbitView.from_digits(ctx, d))
+                     for d in return_streams(ctx, rng, (200, 800))]
+            x = Fraction(rng.getrandbits(64), 1 << 64)
+            views.append((OrbitView.from_point(ctx, x), OrbitView.from_point(ctx, x)))
+            for view, ref in views:
+                view.ensure(700)
+                ref.ensure(700)
+                ns = first_digit_returns(view)
+                gaps = recurrence._batch_gaps(view, ns)
+                for n, gap in zip(ns.tolist(), gaps.tolist()):
+                    if gap >= 0:
+                        depth, seen = ref.depth, len(compares)
+                        assert recurrence._depth_from_lambda(ref, n) == (gap, False), (name, n)
+                        assert (ref.depth, len(compares)) == (depth, seen)
+                if name in ("2.5", "golden", "3"):
+                    settled += int((gaps >= 0).sum())
+                    total += ns.size
+                else:
+                    # beta^48 stays below 2^24 times the tail bound, so the
+                    # per-position routine needs more than 48 digits
+                    assert not (gaps >= 0).any()
+        assert settled > 0.75 * total
+
+    def test_scan_error_bound_holds(self):
+        rng = random.Random(88)
+        for value in ("7/5", "2.5", "10/3", "3"):
+            ctx = BetaContext.from_value(value)
+            beta, beta_f = ctx.beta_fraction, ctx.beta_float()
+            d = np.array(random_digits(rng, ctx.alphabet_max, 400), dtype=np.int8)
+            ia, ib = np.array(rng.sample(range(300), 60)), np.array(rng.sample(range(300), 60))
+            dbeta = 2.0 * float(abs(Fraction(beta_f) - beta))
+            s, _, err = recurrence._difference_scan(d, beta_f, ia.copy(), ib.copy(),
+                                                    dbeta=dbeta)
+            for a, b, got, bound in zip(ia.tolist(), ib.tolist(), s.tolist(), err.tolist()):
+                exact = Fraction(0)
+                for i in range(48):
+                    exact = exact * beta + int(d[a + i]) - int(d[b + i])
+                assert abs(exact - Fraction(got)) <= Fraction(bound), (value, a, b)
+
+    def test_lambda_near_an_integer_is_left_to_the_exact_step(self, monkeypatch):
+        # base 2, difference digits 1, 0^(a-1), 1 past the match: lambda sits
+        # log2(1 + 2^-a) below an integer, inside neg_log_distance's own
+        # interval for some a, and those positions must not be settled
+        compares = count_calls(monkeypatch, "compare_distance_power")
+        two, rng = BetaContext.from_value(2), random.Random(87)
+        straddles = 0
+        for a in range(16, 48):
+            for noisy in range(6):
+                d = [1] + [0] * 399
+                d[200] = d[230] = d[230 + a] = 1
+                for k in itertools.chain(range(31 + a, 200), range(231 + a, 400)):
+                    d[k] = int(noisy > 0 and rng.random() < 0.3)
+                view, ref = OrbitView.from_digits(two, d), OrbitView.from_digits(two, d)
+                gap = recurrence._batch_gaps(view, np.array([200]))[0]
+                seen = len(compares)
+                got = recurrence._depth_from_lambda(ref, 200)
+                straddles += len(compares) > seen
+                if gap >= 0:
+                    assert (got, len(compares)) == ((gap, False), seen), (a, noisy)
+        assert straddles > 0
+
+    @pytest.mark.parametrize("monotone", [True, False])
+    def test_profiles_match_the_per_position_loop(self, monotone, monkeypatch):
+        per_position = count_calls(monkeypatch, "neg_log_distance")
+        rng = random.Random(83 + monotone)
+        fallbacks = 0
+        for name, ctx in return_bases().items():
+            cases = []
+            for digits in return_streams(ctx, rng, (120, 400)):
+                depth = len(digits)
+                for limit in (None, depth - rng.randrange(1, 64), depth // 2):
+                    cases.append((lambda d=digits: OrbitView.from_digits(ctx, d), limit))
+            x = Fraction(rng.getrandbits(64), 1 << 64)
+            for limit in (None, 600, 300 - rng.randrange(1, 64)):
+                cases.append((lambda: OrbitView.from_point(ctx, x), limit))
+            for make, limit in cases:
+                view, ref = make(), make()
+                K = 6 if monotone else (60 if view._stream else 10_000)
+                seen = len(per_position)
+                got = outcome(lambda: extract_returns(view, K, monotone, limit))
+                fallbacks += len(per_position) - seen
+                assert got == outcome(lambda: oracle_extract_returns(ref, K, monotone, limit)), \
+                    (name, limit)
+                assert view.depth == ref.depth, (name, limit)
+        assert fallbacks > 0
+
+    def test_digit_view_comparisons_match_fractions(self):
+        rng = random.Random(85)
+        for name in ("2.5", "7/5", "3"):
+            ctx = return_bases()[name]
+            for digits in return_streams(ctx, rng, (60, 300)):
+                view, ref = OrbitView.from_digits(ctx, digits), OrbitView.from_digits(ctx, digits)
+                ns = first_digit_returns(view).tolist()[:25] + [len(digits) - 1, len(digits) + 2]
+                for n in ns:
+                    g = math.ceil(neg_log_distance(view, n).lo) - 1 if n < len(digits) else 0
+                    for s in range(g - 5, g + 6):
+                        assert compare_distance_power(view, n, s) == \
+                            oracle_compare_left_endpoint(ref, n, s), (name, n, s)
+
+    def test_exact_ties_on_every_short_word(self):
+        # comparisons that read to the end of the word are settled exactly
+        ties = 0
+        for value, length in (("2", 6), ("3", 4), ("2.5", 4), ("7/5", 6)):
+            ctx = BetaContext.from_value(value)
+            for w in itertools.product(range(ctx.alphabet_max + 1), repeat=length):
+                view = OrbitView.from_digits(ctx, w)
+                for n in range(1, length + 1):
+                    for s in range(-1, length + 3):
+                        sign = compare_distance_power(view, n, s)
+                        assert sign == oracle_compare_left_endpoint(view, n, s), (value, w, n, s)
+                        ties += sign == 0
+        assert ties > 0
+        # |T(1/4) - 1/4| = 1/4 exactly, as in the point-view test
+        assert compare_distance_power(OrbitView.from_digits(BetaContext.from_value(2), [0, 1]),
+                                      1, 2) == 0
+
+    def test_algebraic_digit_views_keep_the_exact_point_path(self):
+        view = OrbitView.from_digits(BetaContext.golden(), [1, 0, 0, 1, 0, 1, 0, 0])
+        with pytest.raises(ValueError, match="exact value unavailable"):
+            compare_distance_power(view, 3, 2)
+
+    def test_pisot_test_on_known_bases(self):
+        assert recurrence._is_pisot((-1, -1, 1))        # golden ratio
+        assert recurrence._is_pisot(CUBIC)              # smallest Pisot number
+        assert recurrence._is_pisot((1, -3, 1))         # golden ratio squared
+        assert not recurrence._is_pisot((-7, 0, 1))     # sqrt 7: conjugate -sqrt 7
+        assert not recurrence._is_pisot((-2, 0, 1))     # sqrt 2: conjugate -sqrt 2
+        # Lehmer's number is a Salem number: conjugates on the unit circle
+        assert not recurrence._is_pisot((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
+        # the float batch settles nothing on a base that is not Pisot
+        sqrt7 = BetaContext.from_root((-7, 0, 1), 2, 3)
+        for digits in return_streams(sqrt7, random.Random(86), (300,)):
+            view = OrbitView.from_digits(sqrt7, digits)
+            assert (recurrence._batch_gaps(view, first_digit_returns(view)) < 0).all()
