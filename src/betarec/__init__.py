@@ -1,7 +1,7 @@
 """Beta-expansions, the beta-shift language, orbit recurrence exponents,
 and the Cantor-type constructions behind their dimension formulas."""
 
-from .numerics import BoundedReal, Ordering, bisect_root
+from .numerics import BoundedReal
 from .expansion import (
     BetaContext,
     Word,
@@ -60,7 +60,7 @@ from .dimension import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundedReal", "Ordering", "bisect_root",
+    "BoundedReal",
     "BetaContext", "Word", "approximate_beta", "beta_expand",
     "detect_simple_parry", "eps_star", "evaluate_word", "word_from_text",
     "word_text",

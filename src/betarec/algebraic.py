@@ -13,8 +13,8 @@ coefficient test.  Digits, signs (floor < 0) and comparisons with 1 (floor 0,
 or floor 1 with a zero remainder) all reduce to it.  Past
 ``PRECISION_CAP_BITS`` it raises ``PrecisionError``.
 
-Everything here is internal plumbing for the expansion, recurrence and
-construction layers.
+Everything here is internal plumbing for the exact elements of Q(beta) in
+``expansion``, which every other layer uses.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ Carlo estimates are testable against the exact rational values.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from bisect import bisect_right
@@ -23,8 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from .algebraic import floor_element, multiply_by_root
-from .expansion import BetaContext, Word, approximate_beta
+from .expansion import BetaContext, Word, _sign_minus_power, approximate_beta
 from .numerics import _as_fraction
 from .recurrence import OrbitView
 from .symbolic import automaton_for, count_admissible
@@ -278,27 +276,12 @@ def m_set(trunc_ctx: BetaContext, parent_ctx: BetaContext, u: Word,
 
 
 def _power_at_least(value: Fraction, ctx: BetaContext, exponent: Fraction) -> bool:
-    """Certified value >= beta**exponent for a rational exponent."""
+    """Certified value >= beta**exponent for a rational exponent a/b, decided
+    as value**b - beta**a >= 0 in Q(beta)."""
     if value <= 0:
         return False
-    b = exponent.denominator
-    a = exponent.numerator
-    lhs = value**b
-    beta = ctx.beta_fraction
-    if beta is not None:
-        return lhs >= beta**a
-    # lhs = p/q >= beta^a  <=>  q beta^a / p <= 1 when a >= 0, else p beta^-a / q >= 1
-    p, q = lhs.numerator, lhs.denominator
-    num, den = (q, p) if a >= 0 else (p, q)
-    root = ctx.exact
-    vec = [num] + [0] * (root.degree - 1)
-    for _ in range(abs(a)):
-        vec = multiply_by_root(vec, root.poly)
-    fl = floor_element(vec, den, root, ctx.precision_bits)
-    if a < 0:
-        return fl >= 1
-    vec[0] -= den
-    return fl == 0 or (fl == 1 and not any(vec))
+    lhs = ctx._element(value ** exponent.denominator)
+    return _sign_minus_power(ctx, lhs, exponent.numerator) >= 0
 
 
 @dataclass(frozen=True)
@@ -462,9 +445,6 @@ class CantorPlan:
             "pool_size": str(self.pool_for(self.seed_word).size),
             "pool_bound_ok": self.pool_bound_ok,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def build_plan(ctx: BetaContext, r_hat, r, delta="0.1", K: int = 6,

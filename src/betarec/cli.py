@@ -243,7 +243,6 @@ def cmd_cantor(args):
 
 
 def cmd_dim(args):
-    ctx_needed = args.action in ("series", "boxcount")
     if args.action == "formula":
         value = dim_mod.dim_prescribed(args.rhat, args.r)
         result = {
@@ -255,8 +254,7 @@ def cmd_dim(args):
         }
         return result, None
     ctx = _context(args)
-    plan = cantor_mod.build_plan(ctx, args.rhat, args.r, delta=args.delta,
-                                 K=args.K, seed=args.seed)
+    plan = _plan_from_args(args, ctx)
     if args.action == "series":
         report = dim_mod.local_dimension_series(plan, args.k or plan.levels)
         rows = [(k + 1, float(v)) for k, v in enumerate(report.series_values)]

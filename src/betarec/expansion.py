@@ -3,12 +3,15 @@
 A ``BetaContext`` holds one base beta > 1 together with the digit machinery
 every other layer consumes: the digits of the infinite expansion of 1
 (rewritten to its periodic form when the expansion of 1 terminates, i.e. for
-simple Parry bases), the digit alphabet bound, and exact orbit engines.
+simple Parry bases), and the digit alphabet bound.
 
 Bases are exact objects: either a rational number or the root of a monic
-integer polynomial in an isolating bracket.  This keeps digit extraction
-decidable; a purely numeric fallback with precision escalation exists for
-points supplied as intervals.
+integer polynomial in an isolating bracket.  Every orbit, difference and
+certified comparison in the library runs on one exact element type of
+Q(beta), updated in place (``BetaContext._element``): integers num/den for a
+rational base, an integer coefficient vector over a denominator for an
+algebraic one.  Digits and signs are therefore decided exactly, and a point
+supplied as an interval is expanded from its two exact endpoints.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from .algebraic import (
-    PRECISION_CAP_BITS,
     PrecisionError,
     RootBracket,
     floor_element,
@@ -33,7 +35,8 @@ DEFAULT_PRECISION_BITS = 192
 
 
 class DigitIndeterminateError(ArithmeticError):
-    """A digit could not be decided at the precision cap."""
+    """A digit is not shared by every point of an interval input, or could
+    not be decided at the precision cap."""
 
 
 def word_from_text(text: str) -> Word:
@@ -51,54 +54,82 @@ def word_text(w: Word) -> str:
 
 
 # ---------------------------------------------------------------------------
-# exact orbit engines
+# exact elements of Q(beta)
 # ---------------------------------------------------------------------------
 
 
-class _RationalOrbit:
-    """Digit stream of T(y) = beta*y mod 1 for rational beta = p/q, exact.
+def _scaled_log2(n: int) -> float:
+    """log2 of a positive integer, accurate for any size."""
+    bl = n.bit_length()
+    if bl <= 53:
+        return math.log2(n)
+    return math.log2(n >> (bl - 53)) + (bl - 53)
 
-    The remainder after k steps is a_k / (den0 * q**k); powers of two in the
-    denominator are tracked separately so the common dyadic case runs on
-    shifts alone.
+
+class _RationalElement:
+    """An exact x = num/den for a rational base beta = p/q, updated in place.
+
+    ``push(c)`` sets x <- beta x + c and ``next_digit`` takes the greedy digit
+    floor(beta x), leaving beta x minus it; both multiply den by q, so after
+    k steps den is the starting denominator times q**k.
     """
+
+    __slots__ = ("p", "q", "num", "den")
 
     def __init__(self, p: int, q: int, num: int, den: int):
-        self.p = p
-        self.q2 = (q & -q).bit_length() - 1
-        self.q_odd = q >> self.q2
-        e2 = (den & -den).bit_length() - 1
-        self.e2 = e2
-        self.odd = den >> e2
-        self.a = num
+        self.p, self.q, self.num, self.den = p, q, num, den
+
+    def push(self, c: int) -> None:
+        self.den *= self.q
+        self.num = self.p * self.num + c * self.den
 
     def next_digit(self) -> int:
-        t = (self.p * self.a) >> (self.e2 + self.q2)
-        odd = self.odd * self.q_odd
-        digit = t // odd if odd > 1 else t
-        self.e2 += self.q2
-        self.odd = odd
-        self.a = self.p * self.a - ((digit * odd) << self.e2)
+        self.den *= self.q
+        digit, self.num = divmod(self.p * self.num, self.den)
         return digit
 
-    def remainder_is_zero(self) -> bool:
-        return self.a == 0
+    def add(self, other: "_RationalElement") -> None:
+        self.num = self.num * other.den + other.num * self.den
+        self.den *= other.den
+
+    def sub(self, other: "_RationalElement") -> None:
+        self.num = self.num * other.den - other.num * self.den
+        self.den *= other.den
+
+    def sign(self) -> int:
+        return (self.num > 0) - (self.num < 0)
+
+    def is_zero(self) -> bool:
+        return self.num == 0
+
+    def log2_abs(self) -> Optional[float]:
+        """log2 |x|, or None when x = 0."""
+        if self.num == 0:
+            return None
+        return _scaled_log2(abs(self.num)) - _scaled_log2(self.den)
 
 
-class _AlgebraicOrbit:
-    """Digit stream of the beta-orbit for an algebraic base, exact.
+class _AlgebraicElement:
+    """An exact x = (sum vec[i] beta**i) / den for a root beta of a monic
+    integer polynomial, updated in place; the same interface as
+    ``_RationalElement``.
 
-    The remainder is an element of Q(beta) stored as an integer coefficient
-    vector over a fixed denominator; floors are certified against the root
-    bracket with escalation.
+    Floors and signs are certified by ``floor_element`` against the root
+    bracket, starting at ``bits``.
     """
+
+    __slots__ = ("root", "vec", "den", "bits", "_floats")
 
     def __init__(self, root: RootBracket, num: int, den: int, bits: int):
         self.root = root
-        self.vec = [0] * root.degree
-        self.vec[0] = num
+        self.vec = [num] + [0] * (root.degree - 1)
         self.den = den
         self.bits = bits
+        self._floats: Optional[list[float]] = None
+
+    def push(self, c: int) -> None:
+        self.vec = multiply_by_root(self.vec, self.root.poly)
+        self.vec[0] += c * self.den
 
     def next_digit(self) -> int:
         self.vec = multiply_by_root(self.vec, self.root.poly)
@@ -106,8 +137,41 @@ class _AlgebraicOrbit:
         self.vec[0] -= digit * self.den
         return digit
 
-    def remainder_is_zero(self) -> bool:
-        return all(c == 0 for c in self.vec)
+    def add(self, other: "_AlgebraicElement") -> None:
+        self.vec = [a * other.den + b * self.den for a, b in zip(self.vec, other.vec)]
+        self.den *= other.den
+
+    def sub(self, other: "_AlgebraicElement") -> None:
+        self.vec = [a * other.den - b * self.den for a, b in zip(self.vec, other.vec)]
+        self.den *= other.den
+
+    def sign(self) -> int:
+        if self.is_zero():
+            return 0
+        return -1 if floor_element(self.vec, self.den, self.root, self.bits) < 0 else 1
+
+    def is_zero(self) -> bool:
+        return not any(self.vec)
+
+    def log2_abs(self) -> Optional[float]:
+        """log2 |x| to about 50 bits, or None when x = 0 (or cancels in floats).
+
+        The coefficients' top 53 bits are combined with float powers of the
+        center of the root's 96-bit bracket, taken on the first call.
+        """
+        if self._floats is None:
+            center = float(self.root.interval(96).center)
+            self._floats = [1.0]
+            for _ in range(1, len(self.vec)):
+                self._floats.append(self._floats[-1] * center)
+        shift = max(c.bit_length() for c in self.vec) - 52
+        total = 0.0
+        for c, pf in zip(self.vec, self._floats):
+            cf = float(c >> shift) if shift > 0 else float(c)
+            total += cf * pf
+        if total == 0.0:
+            return None
+        return math.log2(abs(total)) + max(shift, 0) - _scaled_log2(self.den)
 
 
 # ---------------------------------------------------------------------------
@@ -133,21 +197,14 @@ class BetaContext:
         self._one_stream = None
         self._one_terminated: Optional[int] = None
         self._star_period: Optional[Word] = _star_period
-        if isinstance(exact, Fraction):
-            if exact <= 1:
-                raise ValueError("beta must exceed 1")
-            self.alphabet_max = -((-exact.numerator) // exact.denominator) - 1
-        else:
-            if exact.hi <= 1:
-                raise ValueError("beta must exceed 1")
-            if exact.degree < 2:
-                raise ValueError("degree-1 bases should be constructed as rationals")
-            vec = [0] * exact.degree
-            vec[1] = 1
-            fl = floor_element(vec, 1, exact, self.precision_bits)
-            # ceil(beta) - 1 equals floor(beta) unless beta is that integer exactly
-            is_int = exact.lo <= fl <= exact.hi and poly_eval(exact.poly, Fraction(fl)) == 0
-            self.alphabet_max = fl - 1 if is_int else fl
+        if isinstance(exact, RootBracket) and exact.degree < 2:
+            raise ValueError("degree-1 bases should be constructed as rationals")
+        if self.beta_bounds(64).hi <= 1:
+            raise ValueError("beta must exceed 1")
+        # ceil(beta) - 1 is floor(beta), unless beta is that integer exactly
+        one = self._element(1)
+        top = one.next_digit()
+        self.alphabet_max = top - 1 if one.is_zero() else top
         if _star_period is not None:
             self._one_terminated = len(_star_period)
 
@@ -196,19 +253,25 @@ class BetaContext:
 
     # -- expansion of 1 ------------------------------------------------------
 
-    def _orbit_of_one(self):
+    def _element(self, x) -> Union[_RationalElement, _AlgebraicElement]:
+        """x (an int or a Fraction) as an exact element of Q(beta).
+
+        Every orbit, difference and certified comparison runs on these
+        elements; this is where the kind of base picks their arithmetic.
+        """
         if isinstance(self.exact, Fraction):
-            return _RationalOrbit(self.exact.numerator, self.exact.denominator, 1, 1)
-        return _AlgebraicOrbit(self.exact, 1, 1, self.precision_bits)
+            return _RationalElement(self.exact.numerator, self.exact.denominator,
+                                    x.numerator, x.denominator)
+        return _AlgebraicElement(self.exact, x.numerator, x.denominator, self.precision_bits)
 
     def _extend_one_digits(self, n: int) -> None:
         if self._one_terminated is not None:
             return
         if self._one_stream is None:
-            self._one_stream = self._orbit_of_one()
+            self._one_stream = self._element(1)
         while len(self._one_digits) < n:
             self._one_digits.append(self._one_stream.next_digit())
-            if self._one_stream.remainder_is_zero():
+            if self._one_stream.is_zero():
                 self._one_terminated = len(self._one_digits)
                 digits = self._one_digits
                 if digits[-1] == 0:
@@ -247,17 +310,6 @@ class BetaContext:
             return (period * reps)[:n]
         return tuple(self._one_digits[:n])
 
-    def eps_star_digit(self, i: int) -> int:
-        """Digit i (0-based) of the infinite expansion of 1."""
-        if self._star_period is not None:
-            period = self._star_period
-            return period[i % len(period)]
-        if i >= len(self._one_digits):
-            self._extend_one_digits(max(i + 1, 2 * len(self._one_digits), 64))
-            if self._star_period is not None:
-                return self.eps_star_digit(i)
-        return self._one_digits[i]
-
 
 # ---------------------------------------------------------------------------
 # expansion / evaluation operations
@@ -265,58 +317,55 @@ class BetaContext:
 
 
 def orbit_digit_stream(ctx: BetaContext, x: Fraction):
-    """Exact digit stream engine for a rational point x in [0, 1)."""
+    """x in [0, 1) as an exact element whose ``next_digit`` runs its greedy digits."""
     if not (0 <= x < 1):
         raise ValueError("x must lie in [0, 1)")
-    if isinstance(ctx.exact, Fraction):
-        return _RationalOrbit(ctx.exact.numerator, ctx.exact.denominator,
-                              x.numerator, x.denominator)
-    return _AlgebraicOrbit(ctx.exact, x.numerator, x.denominator, ctx.precision_bits)
+    return ctx._element(x)
 
 
 def beta_expand(x, ctx: BetaContext, n: int) -> Word:
     """First n digits of the greedy expansion of x in base beta.
 
-    Exact rational x (or an exact BoundedReal) uses the exact engine.  A
-    genuine interval x is expanded with interval arithmetic and precision
-    escalation; an undecidable digit raises DigitIndeterminateError.
+    A rational x (or an exact BoundedReal) is expanded exactly.  For a
+    genuine interval x the answer is the digits that every point of it
+    shares.  Greedy expansion is monotone in x (Parry, Acta Math. Acad. Sci.
+    Hung. 11, 1960), so those are the common prefix of the exact expansions
+    of the two endpoints, with no precision involved.  The first step where
+    the endpoints' digits differ raises DigitIndeterminateError naming it.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if isinstance(x, BoundedReal) and not x.is_exact:
-        return _beta_expand_interval(x, ctx, n)
+        lo, hi = orbit_digit_stream(ctx, x.lo), orbit_digit_stream(ctx, x.hi)
+        digits = []
+        for k in range(n):
+            digit = lo.next_digit()
+            if hi.next_digit() != digit:
+                raise DigitIndeterminateError(f"digit indeterminate at step {k + 1}")
+            digits.append(digit)
+        return tuple(digits)
     if isinstance(x, BoundedReal):
         x = x.center
-    x = _as_fraction(x)
-    stream = orbit_digit_stream(ctx, x)
+    stream = orbit_digit_stream(ctx, _as_fraction(x))
     return tuple(stream.next_digit() for _ in range(n))
 
 
-def _beta_expand_interval(x: BoundedReal, ctx: BetaContext, n: int) -> Word:
-    if not (0 <= x.lo and x.hi < 1):
-        raise ValueError("x interval must lie within [0, 1)")
-    beta_hi = float(ctx.beta_bounds(64).hi)
-    # depth-n digit decisions need resolution well below beta^-n
-    bits = max(ctx.precision_bits, int(n * math.log2(beta_hi)) + 64)
-    while True:
-        digits = []
-        beta = ctx.beta_bounds(bits)
-        y = x
-        ok = True
-        for k in range(n):
-            t = beta * y
-            flo = t.lo.__floor__()
-            fhi = t.hi.__floor__()
-            if flo != fhi:
-                ok = False
-                break
-            digits.append(flo)
-            y = (t - flo).shrink(bits + 64)
-        if ok:
-            return tuple(digits)
-        if bits >= PRECISION_CAP_BITS:
-            raise DigitIndeterminateError(f"digit indeterminate at step {k + 1}")
-        bits = min(2 * bits, PRECISION_CAP_BITS)
+def _sign_minus_power(ctx: BetaContext, x, k: int, unit: int = 1) -> int:
+    """sign(x - unit * beta**k) for an element x, unit = +-1 and any integer k.
+
+    For k < 0 both sides are multiplied by beta**-k instead, so no power of
+    beta is ever inverted.  x is consumed.
+    """
+    if k >= 0:
+        power = ctx._element(unit)
+        for _ in range(k):
+            power.push(0)
+        x.sub(power)
+    else:
+        for _ in range(-k):
+            x.push(0)
+        x.sub(ctx._element(unit))
+    return x.sign()
 
 
 def _word_numerator(w: Word, p: int, q: int) -> tuple[int, int, int]:
@@ -346,20 +395,21 @@ def word_value_fraction(w: Word, beta: Fraction) -> Fraction:
     return Fraction(t, pl)
 
 
-def word_sum_bounds(w: Word, ctx: BetaContext, bits: Optional[int] = None) -> BoundedReal:
+def word_sum_bounds(w: Word, ctx: BetaContext) -> BoundedReal:
     """Enclosure of the finite sum sum(w_i beta^-i), with no tail allowance.
 
     For an algebraic base this is Horner's rule acc = (acc + d) / beta over
-    the root bracket [p/q, P/Q], rounded outward to the grid 2**-(bits + 64)
-    after every digit.  It runs on the integer endpoints at that scale: a
-    step takes floor((lo + d) * r) and ceil((hi + d) * r), where r is the end
-    of [Q/P, q/p] that the interval product picks by sign.  That replays
+    the root bracket [p/q, P/Q], rounded outward after every digit to the
+    grid 2**-(bits + 64), bits the context precision.  It runs on the
+    integer endpoints at that scale: a step takes floor((lo + d) * r) and
+    ceil((hi + d) * r), where r is the end of [Q/P, q/p] that the interval
+    product picks by sign.  That replays
     ``BoundedReal`` interval arithmetic with ``shrink`` exactly, with no
     Fraction per digit.
     """
     if isinstance(ctx.exact, Fraction):
         return BoundedReal.exact(word_value_fraction(w, ctx.exact))
-    bits = bits or ctx.precision_bits
+    bits = ctx.precision_bits
     root = ctx.exact
     root.refine_to(Fraction(1, 1 << bits))
     p, q = root.lo.numerator, root.lo.denominator
@@ -375,8 +425,7 @@ def word_sum_bounds(w: Word, ctx: BetaContext, bits: Optional[int] = None) -> Bo
     return BoundedReal.from_endpoints(Fraction(lo, scale), Fraction(hi, scale))
 
 
-def beta_power_bounds(ctx: BetaContext, k: int,
-                      bits: Optional[int] = None) -> tuple[Fraction, Fraction]:
+def beta_power_bounds(ctx: BetaContext, k: int) -> tuple[Fraction, Fraction]:
     """Endpoints (lo, hi) of an enclosure of beta**k, k any integer.
 
     For an algebraic base they are the bracket's endpoints raised to k, so
@@ -386,20 +435,20 @@ def beta_power_bounds(ctx: BetaContext, k: int,
         v = ctx.exact ** k
         return v, v
     root = ctx.exact
-    root.refine_to(Fraction(1, 1 << (bits or ctx.precision_bits)))
+    root.refine_to(Fraction(1, 1 << ctx.precision_bits))
     if k < 0:
         return root.hi ** k, root.lo ** k
     return root.lo ** k, root.hi ** k
 
 
-def evaluate_word(w: Word, ctx: BetaContext, bits: Optional[int] = None) -> BoundedReal:
+def evaluate_word(w: Word, ctx: BetaContext) -> BoundedReal:
     """Enclosure of the set of points whose expansion starts with w.
 
     The interval is [S, S + beta^-n] where S is the finite sum; the upper
     padding covers every admissible tail.
     """
-    s = word_sum_bounds(w, ctx, bits)
-    _, tail_hi = beta_power_bounds(ctx, -len(w), bits)
+    s = word_sum_bounds(w, ctx)
+    _, tail_hi = beta_power_bounds(ctx, -len(w))
     return BoundedReal.from_endpoints(s.lo, s.hi + tail_hi)
 
 

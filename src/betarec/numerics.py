@@ -12,26 +12,11 @@ of floating point behaviour.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
 Rational = Union[int, Fraction]
-
-
-class Ordering(enum.Enum):
-    """Outcome of an interval comparison.
-
-    LESS/GREATER are only reported when the two intervals are disjoint, so
-    the strict order of the underlying exact values is certain.  Overlapping
-    intervals (including two identical exact points, which cannot be strictly
-    ordered) report INDETERMINATE.
-    """
-
-    LESS = -1
-    GREATER = 1
-    INDETERMINATE = 0
 
 
 class IndeterminateSignError(ArithmeticError):
@@ -133,9 +118,6 @@ class BoundedReal:
     def __sub__(self, other) -> "BoundedReal":
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other) -> "BoundedReal":
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other) -> "BoundedReal":
         o = self._coerce(other)
         corners = [
@@ -159,16 +141,6 @@ class BoundedReal:
             self.hi / o.hi,
         ]
         return BoundedReal.from_endpoints(min(corners), max(corners))
-
-    def __rtruediv__(self, other) -> "BoundedReal":
-        return self._coerce(other) / self
-
-    def __abs__(self) -> "BoundedReal":
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return -self
-        return BoundedReal.from_endpoints(Fraction(0), max(-self.lo, self.hi))
 
     def powi(self, k: int) -> "BoundedReal":
         """Integer power in closed form (k may be negative).
@@ -195,34 +167,6 @@ class BoundedReal:
         hi = Fraction(-((-self.hi * scale).__floor__()), scale)
         return BoundedReal.from_endpoints(lo, hi)
 
-    # -- comparison ----------------------------------------------------------
-
-    def compare(self, other) -> Ordering:
-        o = self._coerce(other)
-        if self.hi < o.lo:
-            return Ordering.LESS
-        if self.lo > o.hi:
-            return Ordering.GREATER
-        return Ordering.INDETERMINATE
-
-
-def bisect_root(
-    f: Callable[[Fraction], Rational],
-    lo,
-    hi,
-    tol,
-) -> Fraction:
-    """Locate the root of a continuous, strictly monotone f by bisection.
-
-    f is evaluated at exact rational points and only its sign is used, so the
-    result is deterministic across platforms.  Returns the midpoint of the
-    final bracket, which is within tol of the root.
-
-    Raises NoBracketError when f(lo) and f(hi) have the same sign.
-    """
-    blo, bhi = bisect_root_bounds(f, lo, hi, tol)
-    return (blo + bhi) / 2
-
 
 def bisect_root_bounds(
     f: Callable[[Fraction], Rational],
@@ -230,7 +174,13 @@ def bisect_root_bounds(
     hi,
     tol,
 ) -> tuple[Fraction, Fraction]:
-    """Bisection returning the final bracket [lo, hi] with hi - lo <= 2*tol."""
+    """Bracket the root of a continuous, strictly monotone f by bisection.
+
+    f is evaluated at exact rational points and only its sign is used, so the
+    result is deterministic across platforms.  Returns the final bracket
+    [lo, hi], with hi - lo <= 2*tol, or (r, r) once a midpoint r is a root.
+    Raises NoBracketError when f(lo) and f(hi) have the same sign.
+    """
     lo = _as_fraction(lo)
     hi = _as_fraction(hi)
     tol = _as_fraction(tol)

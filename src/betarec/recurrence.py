@@ -21,10 +21,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebraic import RootBracket, floor_element, multiply_by_root
 from .expansion import (
     BetaContext,
     Word,
+    _sign_minus_power,
     beta_power_bounds,
     orbit_digit_stream,
     word_value_fraction,
@@ -149,9 +149,7 @@ class OrbitView:
 
     @classmethod
     def from_point(cls, ctx: BetaContext, x) -> "OrbitView":
-        x = Fraction(x) if not isinstance(x, Fraction) else x
-        if not (0 <= x < 1):
-            raise ValueError("x must lie in [0, 1)")
+        x = Fraction(x)
         return cls(ctx, [], x, orbit_digit_stream(ctx, x))
 
     @classmethod
@@ -247,76 +245,19 @@ class LambdaBounds:
     match_len: int
 
 
-# neg_log_distance first asks for this many digits past n, and stops once
-# the partial sum exceeds 2**certainty_bits times its tail bound
+# neg_log_distance first asks for this many digits past n, stops once the
+# partial sum exceeds 2**_CERTAINTY_BITS times its tail bound, and extends a
+# point view's stream to at most _SCAN_CAP digits (a guard for periodic points)
 _LOOKAHEAD = 64
 _CERTAINTY_BITS = 24
+_SCAN_CAP = 1 << 21
 # float steps of the batched difference scan; _lambda_series keeps a float
 # midpoint when |s| exceeds _FLOAT_MARGIN times the tail bound
 _SCAN_STEPS = 48
 _FLOAT_MARGIN = 1 << 20
 
 
-def _scaled_log2(n: int) -> float:
-    """log2 of a positive integer, accurate for any size."""
-    bl = n.bit_length()
-    if bl <= 53:
-        return math.log2(n)
-    return math.log2(n >> (bl - 53)) + (bl - 53)
-
-
-class _DiffAccumulator:
-    """Exact accumulator for S_L = sum c_i beta^(L-i), c_i integer digits.
-
-    Rational base p/q: S_L = N_L / q^L with N_L = p*N_(L-1) + c*q^L.
-    Algebraic base: N_L is an integer vector in powers of beta.
-    The magnitude |S_L| only needs ~50 accurate bits, extracted at the end.
-    """
-
-    def __init__(self, ctx: BetaContext):
-        self.ctx = ctx
-        beta = ctx.beta_fraction
-        if beta is not None:
-            self.p, self.q = beta.numerator, beta.denominator
-            self.n_int = 0
-            self.qpow = 1
-            self.vec = None
-        else:
-            root: RootBracket = ctx.exact
-            self.root = root
-            self.vec = [0] * root.degree
-            iv = root.interval(96)
-            self.pow_floats = [1.0]
-            for _ in range(1, root.degree):
-                self.pow_floats.append(self.pow_floats[-1] * float(iv.center))
-
-    def push(self, c: int) -> None:
-        if self.vec is None:
-            self.qpow *= self.q
-            self.n_int = self.p * self.n_int + c * self.qpow
-        else:
-            self.vec = multiply_by_root(self.vec, self.root.poly)
-            self.vec[0] += c
-
-    def log2_abs(self) -> Optional[float]:
-        """log2 |S_L|, or None when S_L = 0 (so far)."""
-        if self.vec is None:
-            if self.n_int == 0:
-                return None
-            return _scaled_log2(abs(self.n_int)) - _scaled_log2(self.qpow)
-        shift = max(c.bit_length() for c in self.vec) - 52
-        total = 0.0
-        for c, pf in zip(self.vec, self.pow_floats):
-            cf = float(c >> shift) if shift > 0 else float(c)
-            total += cf * pf
-        if total == 0.0:
-            return None
-        return math.log2(abs(total)) + max(shift, 0)
-
-
-def neg_log_distance(view: OrbitView, n: int,
-                     certainty_bits: int = _CERTAINTY_BITS,
-                     scan_cap: int = 1 << 21) -> LambdaBounds:
+def neg_log_distance(view: OrbitView, n: int) -> LambdaBounds:
     """Bounds on -log_beta |T^n x - x| from the digit stream.
 
     Scans difference digits past the first disagreement until the scaled
@@ -330,7 +271,7 @@ def neg_log_distance(view: OrbitView, n: int,
         raise ValueError("insufficient digit depth")
     j = view.z(n)
     if view.z_censored(n) and view._stream is not None:
-        while view.z_censored(n) and view.depth < scan_cap:
+        while view.z_censored(n) and view.depth < _SCAN_CAP:
             before = view.depth
             view.ensure(2 * view.depth)
             if view.depth == before:
@@ -341,7 +282,7 @@ def neg_log_distance(view: OrbitView, n: int,
     lb = math.log2(beta_f)
     tail_bound = amax * beta_f / (beta_f - 1.0)
     log2_tail = math.log2(tail_bound)
-    acc = _DiffAccumulator(view.ctx)
+    acc = view.ctx._element(0)
     L = 0
     digits = view._digits
     base = view.depth
@@ -349,8 +290,8 @@ def neg_log_distance(view: OrbitView, n: int,
         ia = n + j + L
         ib = j + L
         if ia >= base:
-            if view._stream is not None and base < scan_cap:
-                base = view.ensure(min(2 * max(base, ia + 64), scan_cap))
+            if view._stream is not None and base < _SCAN_CAP:
+                base = view.ensure(min(2 * max(base, ia + 64), _SCAN_CAP))
                 digits = view._digits
             if ia >= base:
                 # stream exhausted: the distance may be anything below the bound
@@ -361,7 +302,7 @@ def neg_log_distance(view: OrbitView, n: int,
         L += 1
         if L % 16 == 0 or L < 8:
             log2s = acc.log2_abs()
-            if log2s is not None and log2s > log2_tail + certainty_bits:
+            if log2s is not None and log2s > log2_tail + _CERTAINTY_BITS:
                 ratio = 2.0 ** (log2_tail - log2s)
                 lam = j + L - log2s / lb
                 spread = math.log2(1.0 + ratio) / lb
@@ -374,13 +315,13 @@ _UNIT = 2.0 ** -53  # unit roundoff of a float64
 
 
 def _difference_scan(d: np.ndarray, beta_f: float, ia: np.ndarray, ib: np.ndarray,
-                     steps: int = _SCAN_STEPS, dbeta: Optional[float] = None
+                     dbeta: Optional[float] = None
                      ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """The float difference recurrence s <- beta_f s + d[ia] - d[ib], batched.
 
     Each position starts from s = 0 and reads one digit pair a step for
-    ``steps`` steps, advancing ia and ib in place, so s approximates
-    S = sum_(i<steps) c_i beta^(steps-1-i) with c_i = d[ia + i] - d[ib + i].
+    ``_SCAN_STEPS`` = 48 steps, advancing ia and ib in place, so s approximates
+    S = sum_(i<48) c_i beta^(47-i) with c_i = d[ia + i] - d[ib + i].
     Returns s, the running maximum of |s|, and, given dbeta >= |beta_f - beta|,
     a bound err >= |S - s| carried in the same loop (None otherwise): one
     rounding each for the product and the sum, u the unit roundoff,
@@ -392,7 +333,7 @@ def _difference_scan(d: np.ndarray, beta_f: float, ia: np.ndarray, ib: np.ndarra
     if err is not None:
         beta_up = (beta_f + 2.0 * dbeta) * (1.0 + 4.0 * _UNIT)
         grow = dbeta + 4.0 * _UNIT * beta_f
-    for _ in range(steps):
+    for _ in range(_SCAN_STEPS):
         if err is not None:
             err *= beta_up
             err += grow * np.abs(s)
@@ -406,23 +347,24 @@ def _difference_scan(d: np.ndarray, beta_f: float, ia: np.ndarray, ib: np.ndarra
     return s, max_abs, err
 
 
-def orbit_point_fraction(view: OrbitView, n: int) -> Fraction:
-    """T^n x exactly, via T^n x = beta^n (x - value of the first n digits)."""
-    beta = view.ctx.beta_fraction
-    if beta is None:
-        raise ValueError("exact orbit values need a rational base")
+def _difference(view: OrbitView, n: int):
+    """T^n x - x as an exact element of Q(beta), by Horner over the first n
+    digits: T^n x = beta^n x - sum_(i<=n) d_i beta^(n-i)."""
     x = view.point_fraction()
-    prefix = tuple(view.digits(n))
-    return (x - word_value_fraction(prefix, beta)) * beta**n
+    d = view.ctx._element(x)
+    for digit in view.digits(n):
+        d.push(-digit)
+    d.sub(view.ctx._element(x))
+    return d
 
 
 def recurrence_distance(view: OrbitView, n: int) -> BoundedReal:
     """|T^n x - x| as an enclosure; exact (radius 0) for rational bases."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    beta = view.ctx.beta_fraction
-    if beta is not None:
-        return BoundedReal.exact(abs(orbit_point_fraction(view, n) - view.point_fraction()))
+    if view.ctx.beta_fraction is not None:
+        d = _difference(view, n)
+        return BoundedReal.exact(Fraction(abs(d.num), d.den))
     lam = neg_log_distance(view, n)
     if lam.censored:
         _, hi = beta_power_bounds(view.ctx, -int(math.floor(lam.lo)))
@@ -433,7 +375,7 @@ def recurrence_distance(view: OrbitView, n: int) -> BoundedReal:
 
 
 def compare_distance_power(view: OrbitView, n: int, s: int) -> int:
-    """Exact sign of |T^n x - x| - beta^-s  (-1, 0, or 1).
+    """Exact sign of |T^n x - x| - beta^-s  (-1, 0, or 1), for any integer s.
 
     A digit view stands for its left endpoint: digits past its depth read as
     0.  On a rational base p/q, with j = z(n),
@@ -441,38 +383,20 @@ def compare_distance_power(view: OrbitView, n: int, s: int) -> int:
     c_i = d_(n+j+i) - d_(j+i) and |R_L| <= amax q/(p - q).  The digits are
     read from j on until |S_L| -+ that tail bound lies on one side of
     beta^(j+L-s), all in integers; once j + L reaches the depth the tail is
-    exactly 0, so a tie is settled exactly.  Point views on a rational base
-    compare exact Fractions; algebraic bases compare |D| beta^s with 1 in
-    Q(beta) by ``floor_element``, which needs the exact point, so a digit view
-    there raises ValueError.
+    exactly 0, so a tie is settled exactly.  Otherwise the difference D is
+    one exact element of Q(beta), and |D| beta^s - 1 is decided as
+    sign(D) (D beta^s - sign(D)), with the power of beta moved to the other
+    side when s < 0.  That needs the exact point, so a digit view on an
+    algebraic base raises ValueError.
     """
     beta = view.ctx.beta_fraction
     if beta is not None and view._stream is None and 0 < n < view.depth:
         return _compare_left_endpoint(view, n, s, beta)
-    if beta is not None:
-        dist = abs(orbit_point_fraction(view, n) - view.point_fraction())
-        target = beta ** (-s)
-        return (dist > target) - (dist < target)
-    # algebraic base: D = T^n x - x over den(x), by Horner over the digits
-    x = view.point_fraction()
-    root: RootBracket = view.ctx.exact
-    bits = view.ctx.precision_bits
-    den = x.denominator
-    vec = [x.numerator] + [0] * (root.degree - 1)
-    for d in view.digits(n):
-        vec = multiply_by_root(vec, root.poly)
-        vec[0] -= d * den
-    vec[0] -= x.numerator
-    if floor_element(vec, den, root, bits) < 0:
-        vec = [-c for c in vec]
-    # |D| beta^s against 1: floor 0 is below, 1 with no remainder is equal
-    for _ in range(s):
-        vec = multiply_by_root(vec, root.poly)
-    fl = floor_element(vec, den, root, bits)
-    if fl == 0:
+    d = _difference(view, n)
+    sign = d.sign()
+    if sign == 0:
         return -1
-    vec[0] -= den
-    return 0 if fl == 1 and not any(vec) else 1
+    return sign * _sign_minus_power(view.ctx, d, -s, sign)
 
 
 def _compare_left_endpoint(view: OrbitView, n: int, s: int, beta: Fraction) -> int:
@@ -481,20 +405,20 @@ def _compare_left_endpoint(view: OrbitView, n: int, s: int, beta: Fraction) -> i
     digits = view._digits
     depth = len(digits)
     tail = max(view.ctx.alphabet_max, 1) * q  # the tail bound times p - q
-    acc = _DiffAccumulator(view.ctx)
+    acc = view.ctx._element(0)
     i = view.z(n)
     while True:
         acc.push((digits[n + i] if n + i < depth else 0) - digits[i])
         i += 1
-        # with S = n_int/qpow and beta^(i-s) = num/den, compare
-        # |S| -+ amax q/(p - q) with num/den, all times (p - q) den qpow
+        # with S = acc.num/acc.den and beta^(i-s) = num/den, compare
+        # |S| -+ amax q/(p - q) with num/den, all times (p - q) den acc.den
         e = i - s
         num, den = (p**e, q**e) if e >= 0 else (q**-e, p**-e)
-        lhs = abs(acc.n_int) * (p - q) * den
-        rhs = num * (p - q) * acc.qpow
+        lhs = abs(acc.num) * (p - q) * den
+        rhs = num * (p - q) * acc.den
         if i >= depth:
             return (lhs > rhs) - (lhs < rhs)
-        slack = tail * den * acc.qpow
+        slack = tail * den * acc.den
         if lhs - slack > rhs:
             return 1
         if lhs + slack < rhs:
@@ -756,8 +680,7 @@ class ExponentEstimate:
         return [lam / n for n, lam in enumerate(self.neg_log, start=1)]
 
 
-def _lambda_series(view: OrbitView, n_max: int,
-                   scan_steps: int = _SCAN_STEPS) -> tuple[list[float], np.ndarray, int]:
+def _lambda_series(view: OrbitView, n_max: int) -> tuple[list[float], np.ndarray, int]:
     """Midpoints of -log_beta |T^n x - x| for n = 1..n_max, batched.
 
     A fixed number of float recurrence steps settles the vast majority of
@@ -778,8 +701,8 @@ def _lambda_series(view: OrbitView, n_max: int,
             raise IndexError(f"digit stream of depth {depth} is too short "
                              f"for n_max {n_max}")
         j_arr = view.z_values()[1 : n_max + 1]
-        need = int((n_arr + j_arr).max()) + 1 + scan_steps
-        if need <= depth or view._stream is None or depth >= 1 << 21:
+        need = int((n_arr + j_arr).max()) + 1 + _SCAN_STEPS
+        if need <= depth or view._stream is None or depth >= _SCAN_CAP:
             break
         probe += 1
         view.ensure(need)
@@ -787,18 +710,18 @@ def _lambda_series(view: OrbitView, n_max: int,
     amax = max(view.ctx.alphabet_max, 1)
     # zero padding past the stream: positions that read it are discarded below
     arr = view._digit_array()
-    d = np.zeros(depth + scan_steps + 1, dtype=arr.dtype)
+    d = np.zeros(depth + _SCAN_STEPS + 1, dtype=arr.dtype)
     d[:depth] = arr
     beta_f = view.ctx.beta_float()
     tail = amax / (beta_f - 1.0)
     ia = n_arr + j_arr
-    bad = ia + (scan_steps - 1) >= depth
-    s, max_abs, _ = _difference_scan(d, beta_f, ia, j_arr.copy(), scan_steps)
+    bad = ia + (_SCAN_STEPS - 1) >= depth
+    s, max_abs, _ = _difference_scan(d, beta_f, ia, j_arr.copy())
     abs_s = np.abs(s)
     ok = (~bad) & (abs_s > _FLOAT_MARGIN * tail) & (max_abs < _FLOAT_MARGIN * abs_s)
     lam = np.full(n_max, np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam[ok] = j_arr[ok] + scan_steps - np.log(abs_s[ok]) / math.log(beta_f)
+        lam[ok] = j_arr[ok] + _SCAN_STEPS - np.log(abs_s[ok]) / math.log(beta_f)
     censored = 0
     for idx in np.nonzero(~ok)[0]:
         lb = neg_log_distance(view, int(idx) + 1)

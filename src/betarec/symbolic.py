@@ -107,15 +107,11 @@ class FollowerAutomaton:
             raise ValueError("automaton depth exceeded; rebuild deeper")
         return self._step_raw(state, c)
 
-    def transition_table(self, alphabet_max: Optional[int] = None) -> list[list[Optional[int]]]:
+    def transition_table(self) -> list[list[Optional[int]]]:
         """Dense (state, digit) table; None entries are rejections."""
-        amax = self.ctx.alphabet_max if alphabet_max is None else alphabet_max
-        if self._table and len(self._table[0]) == amax + 1:
-            return self._table
-        states = self.num_states
-        self._table = [
-            [self.step(s, c) for c in range(amax + 1)] for s in range(states)
-        ]
+        if not self._table:
+            self._table = [[self.step(s, c) for c in range(self.ctx.alphabet_max + 1)]
+                           for s in range(self.num_states)]
         return self._table
 
     def feed(self, word: Word, state: int = 0) -> Optional[int]:

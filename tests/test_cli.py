@@ -1,7 +1,9 @@
 import hashlib
 import io
 import json
+import shlex
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -296,3 +298,43 @@ class TestPinnedEnvelopes:
                            "--all-returns", "--K", "40",
                            "--depth", str(plan.n_seq[4] + 10)) == \
             "f4639ff4bf5eabe3816b05553233411b43c7d783c6e8fa6e41cbbb6c140ff90d"
+
+
+def readme_commands():
+    """(argv, trailing comment) for each ``betarec`` line of the README's
+    command-line block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        if line.startswith("betarec "):
+            command, _, comment = line.partition("#")
+            commands.append((shlex.split(command)[1:], comment.strip()))
+    return commands
+
+
+class TestReadmeCommands:
+    def test_every_command_keeps_the_contract_and_its_comment(self, capsys, schema,
+                                                              monkeypatch):
+        monkeypatch.delenv("BETAREC_PRECISION_BITS", raising=False)
+        commands = readme_commands()
+        assert len(commands) == 16
+        checked = 0
+        for argv, comment in commands:
+            code = main(argv)
+            out, err = capsys.readouterr()
+            assert (code, err) == (0, ""), argv
+            payload = json.loads(out)
+            validate_result(schema, argv[0], payload)
+            # a comment that opens with a value names one result field exactly,
+            # or a prefix of it when it ends in "..."
+            expected = comment.split(" ")[0]
+            if not (expected[:1].isdigit() or expected in ("true", "false")):
+                continue
+            shown = [json.dumps(v).strip('"') for v in payload["result"].values()]
+            if expected.endswith("..."):
+                assert any(v.startswith(expected[:-3]) for v in shown), (argv, shown)
+            else:
+                assert expected in shown, (argv, shown)
+            checked += 1
+        assert checked == 6

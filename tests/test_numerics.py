@@ -7,8 +7,7 @@ from betarec.numerics import (
     BoundedReal,
     IndeterminateSignError,
     NoBracketError,
-    Ordering,
-    bisect_root,
+    bisect_root_bounds,
 )
 
 
@@ -56,16 +55,6 @@ class TestBoundedReal:
         with pytest.raises(IndeterminateSignError):
             BoundedReal.exact(1) / BoundedReal(Fraction(0), Fraction(1))
 
-    def test_compare(self):
-        assert BoundedReal.exact(0).compare(BoundedReal.exact(1)) is Ordering.LESS
-        a = BoundedReal(Fraction(1), Fraction(1, 2))
-        b = BoundedReal(Fraction(6, 5), Fraction(1, 2))
-        assert a.compare(b) is Ordering.INDETERMINATE
-        lo = BoundedReal.exact(Fraction(1, 32))
-        hi = BoundedReal.exact(Fraction(1, 16))
-        assert lo.compare(hi) is Ordering.LESS
-        assert hi.compare(lo) is Ordering.GREATER
-
     def test_shrink_contains_original(self):
         x = BoundedReal(Fraction(1, 3), Fraction(1, 7))
         y = x.shrink(32)
@@ -109,29 +98,33 @@ class TestBoundedReal:
 class TestBisect:
     def test_golden_ratio(self):
         tol = Fraction(1, 10**14)
-        root = bisect_root(lambda x: x * x - x - 1, 1, 2, tol)
+        blo, bhi = bisect_root_bounds(lambda x: x * x - x - 1, 1, 2, tol)
         lo, hi = golden_ratio_oracle()
-        assert lo - 2 * tol <= root <= hi + 2 * tol
+        assert bhi - blo <= 2 * tol
+        assert blo <= hi and lo <= bhi  # the bracket meets the oracle's
 
     def test_cubic(self):
         tol = Fraction(1, 10**14)
-        root = bisect_root(lambda x: x**3 - x**2 - 1, 1, 2, tol)
+        blo, bhi = bisect_root_bounds(lambda x: x**3 - x**2 - 1, 1, 2, tol)
         oracle = newton_cubic_oracle()
-        assert abs(root - oracle) < Fraction(1, 10**12)
-        assert abs(float(root) - 1.4655712318767682) < 1e-12
+        assert bhi - blo <= 2 * tol
+        assert blo - Fraction(1, 10**12) < oracle < bhi + Fraction(1, 10**12)
+        assert abs(float(blo) - 1.4655712318767682) < 1e-12
 
     def test_linear(self):
-        root = bisect_root(lambda x: x - 1, Fraction(1, 2), 2, Fraction(1, 10**12))
-        assert abs(root - 1) <= Fraction(1, 10**12)
+        tol = Fraction(1, 10**12)
+        blo, bhi = bisect_root_bounds(lambda x: x - 1, Fraction(1, 2), 2, tol)
+        assert blo <= 1 <= bhi and bhi - blo <= 2 * tol
 
     def test_no_bracket(self):
         with pytest.raises(NoBracketError):
-            bisect_root(lambda x: x * x + 1, 0, 1, Fraction(1, 100))
+            bisect_root_bounds(lambda x: x * x + 1, 0, 1, Fraction(1, 100))
 
     def test_residual_bound(self):
-        # |f(root)| <= f'(hi) * 2 * tol for increasing f
+        # |f| <= f'(2) * 2 * tol across the bracket, for increasing f on [1, 2]
         tol = Fraction(1, 10**10)
         f = lambda x: x**3 - x**2 - 1
-        root = bisect_root(f, 1, 2, tol)
+        blo, bhi = bisect_root_bounds(f, 1, 2, tol)
+        assert f(blo) <= 0 <= f(bhi)
         dmax = 3 * Fraction(2) ** 2 - 2 * Fraction(2)
-        assert abs(f(root)) <= dmax * 2 * tol
+        assert max(abs(f(blo)), abs(f(bhi))) <= dmax * 2 * tol

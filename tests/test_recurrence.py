@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from betarec.expansion import BetaContext, beta_expand
+from betarec.expansion import BetaContext, beta_expand, word_value_fraction
 from betarec.recurrence import (
     FormViolationError,
     OrbitView,
@@ -18,12 +18,17 @@ from betarec.recurrence import (
     extract_returns,
     near_periodic_family,
     neg_log_distance,
-    orbit_point_fraction,
     recurrence_distance,
     verify_bracketing,
     word_indices,
     z_array,
 )
+
+
+def orbit_point_fraction(view, n):
+    """T^n x as a Fraction, from T^n x = beta^n (x - value of the first n digits)."""
+    beta = view.ctx.beta_fraction
+    return (view.point_fraction() - word_value_fraction(tuple(view.digits(n)), beta)) * beta**n
 
 
 @pytest.fixture(scope="module")

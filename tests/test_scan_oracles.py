@@ -7,10 +7,14 @@ IEEE operations in the same order, exact max/min), so agreement must be exact.
 Oracles and library each get their own view of the same stream, because
 both keep caches on the view.
 
-The decision oracles are the escalation loops that ``floor_element`` replaced:
-an interval sign test, an orbit replay for ``compare_distance_power``, and an
-interval power loop for ``_power_at_least``.  All of them decide exactly, so
-agreement must be exact too.
+The decision oracles are the loops that the exact elements of Q(beta)
+replaced: an interval sign test, an orbit replay for
+``compare_distance_power`` on algebraic bases and a Fraction orbit value on
+rational ones, an interval power loop for ``_power_at_least``, and for
+interval inputs to ``beta_expand`` the interval Horner loop that doubled its
+precision up to the cap.  All of them decide exactly, so agreement must be
+exact too.  The element operations themselves are checked against Fraction
+coefficient vectors.
 
 The cylinder oracles are the ``BoundedReal`` loops that the integer kernels
 replaced: Horner with a dyadic ``shrink`` per digit, ``powi`` on the base's
@@ -35,11 +39,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betarec import recurrence
-from betarec.algebraic import multiply_by_root
+from betarec.algebraic import PRECISION_CAP_BITS, multiply_by_root
 from betarec.cantor import _power_at_least, build_plan, sample_point
 from betarec.expansion import (
+    DEFAULT_PRECISION_BITS,
     BetaContext,
+    DigitIndeterminateError,
     approximate_beta,
+    beta_expand,
     beta_power_bounds,
     orbit_digit_stream,
     word_sum_bounds,
@@ -56,7 +63,7 @@ from betarec.recurrence import (
     estimate_r_hat,
     extract_returns,
     neg_log_distance,
-    orbit_point_fraction,
+    recurrence_distance,
     z_array,
 )
 from betarec.symbolic import Cylinder, automaton_for, cylinder, enumerate_admissible
@@ -223,10 +230,14 @@ def oracle_compare_distance_power(view, n, s):
         return -1
     if sign < 0:
         vec = [-c for c in vec]
-    for _ in range(s):
-        vec = multiply_by_root(vec, root.poly)
-    vec[0] -= x.denominator
-    return oracle_element_sign(vec, root)
+    # |D| beta^s against 1, or |D| against beta^-s when s < 0
+    power = [x.denominator] + [0] * (root.degree - 1)
+    for _ in range(abs(s)):
+        if s > 0:
+            vec = multiply_by_root(vec, root.poly)
+        else:
+            power = multiply_by_root(power, root.poly)
+    return oracle_element_sign([a - b for a, b in zip(vec, power)], root)
 
 
 def oracle_extract_returns(view, K, monotone=True, search_limit=None):
@@ -260,8 +271,15 @@ def oracle_extract_returns(view, K, monotone=True, search_limit=None):
     return ReturnProfile(n_seq, m_seq, t_seq, monotone, truncated)
 
 
+def orbit_point_fraction(view, n):
+    """T^n x as a Fraction, from T^n x = beta^n (x - value of the first n digits)."""
+    beta = view.ctx.beta_fraction
+    return (view.point_fraction() - word_value_fraction(tuple(view.digits(n)), beta)) * beta**n
+
+
 def oracle_compare_left_endpoint(view, n, s):
-    """Sign of |T^n x - x| - beta^-s on the exact Fraction of the view's point."""
+    """Sign of |T^n x - x| - beta^-s on the exact Fraction of the view's point
+    (the left endpoint, for a digit view)."""
     dist = abs(orbit_point_fraction(view, n) - view.point_fraction())
     target = view.ctx.beta_fraction ** -s
     return (dist > target) - (dist < target)
@@ -284,6 +302,34 @@ def oracle_power_at_least(value, ctx, exponent):
             raise ArithmeticError("feasibility comparison undecidable")
 
 
+def oracle_beta_expand_interval(x, ctx, n):
+    """Interval Horner over the base's bracket, doubling the precision until
+    every digit is decided or the cap is reached."""
+    if not (0 <= x.lo and x.hi < 1):
+        raise ValueError("x interval must lie within [0, 1)")
+    beta_hi = float(ctx.beta_bounds(64).hi)
+    bits = max(ctx.precision_bits, int(n * math.log2(beta_hi)) + 64)
+    while True:
+        digits = []
+        beta = ctx.beta_bounds(bits)
+        y = x
+        ok = True
+        for k in range(n):
+            t = beta * y
+            flo = t.lo.__floor__()
+            fhi = t.hi.__floor__()
+            if flo != fhi:
+                ok = False
+                break
+            digits.append(flo)
+            y = (t - flo).shrink(bits + 64)
+        if ok:
+            return tuple(digits)
+        if bits >= PRECISION_CAP_BITS:
+            raise DigitIndeterminateError(f"digit indeterminate at step {k + 1}")
+        bits = min(2 * bits, PRECISION_CAP_BITS)
+
+
 def oracle_powi(x, k):
     """Integer power by repeated interval squaring (k may be negative)."""
     if k == 0:
@@ -300,11 +346,11 @@ def oracle_powi(x, k):
     return acc
 
 
-def oracle_word_sum_bounds(w, ctx, bits=None):
+def oracle_word_sum_bounds(w, ctx):
     """Horner over BoundedReal with an outward dyadic shrink after each digit."""
     if ctx.beta_fraction is not None:
         return BoundedReal.exact(word_value_fraction(w, ctx.beta_fraction))
-    bits = bits or ctx.precision_bits
+    bits = ctx.precision_bits
     binv = BoundedReal.exact(1) / ctx.beta_bounds(bits)
     acc = BoundedReal.exact(0)
     for d in reversed(w):
@@ -312,10 +358,10 @@ def oracle_word_sum_bounds(w, ctx, bits=None):
     return acc
 
 
-def oracle_beta_power_bounds(ctx, k, bits=None):
+def oracle_beta_power_bounds(ctx, k):
     if ctx.beta_fraction is not None:
         return ctx.beta_fraction ** k, ctx.beta_fraction ** k
-    iv = ctx.beta_bounds(bits or ctx.precision_bits).powi(k)
+    iv = ctx.beta_bounds(ctx.precision_bits).powi(k)
     return iv.lo, iv.hi
 
 
@@ -592,9 +638,25 @@ class TestCertifiedDecisions:
                 for n in (1, 2, 5, 17, 60):
                     lam = neg_log_distance(view, n)
                     centre = math.floor(lam.lo)
-                    for s in range(max(centre - 2, 0), centre + 3):
+                    for s in range(min(centre - 2, -2), centre + 3):
                         assert compare_distance_power(view, n, s) == \
                             oracle_compare_distance_power(ref, n, s), (x, n, s)
+
+    def test_rational_point_views_match_fractions(self):
+        rng = random.Random(53)
+        for name in ("2.5", "7/5", "3"):
+            ctx = return_bases()[name]
+            points = [Fraction(rng.randrange(1, 10**6), 10**6 + rng.randrange(1, 999))
+                      for _ in range(5)]
+            for x in points + [Fraction(1, 2)]:  # 1/2 is a fixed point of base 3
+                view, ref = OrbitView.from_point(ctx, x), OrbitView.from_point(ctx, x)
+                for n in (1, 2, 5, 17, 60):
+                    dist = abs(orbit_point_fraction(ref, n) - ref.point_fraction())
+                    assert recurrence_distance(view, n) == BoundedReal.exact(dist)
+                    g = math.ceil(neg_log_distance(view, n).lo) - 1 if dist else 0
+                    for s in range(-2, g + 4):
+                        assert compare_distance_power(view, n, s) == \
+                            oracle_compare_left_endpoint(ref, n, s), (name, x, n, s)
 
     def test_periodic_point_is_below_every_power(self):
         # 1/2 is a fixed point of T^3 in the golden base: the distance is 0
@@ -616,6 +678,18 @@ class TestCertifiedDecisions:
                         continue  # an exact equality the oracle cannot settle
                     assert _power_at_least(value, ctx, exponent) == \
                         oracle_power_at_least(value, ctx, exponent), (value, exponent)
+        for beta in (Fraction(5, 2), Fraction(7, 5), Fraction(3)):
+            ctx = BetaContext.from_value(beta)
+            for value in [Fraction(k, 8) for k in range(1, 60, 3)]:
+                for exponent in exponents:
+                    a, b = exponent.numerator, exponent.denominator
+                    assert _power_at_least(value, ctx, exponent) == \
+                        (value**b >= beta**a), (beta, value, exponent)
+        # exact equalities: 9 = 3^2 and 1/3 = 3^-1
+        three = BetaContext.from_value(3)
+        assert _power_at_least(Fraction(9), three, Fraction(2))
+        assert _power_at_least(Fraction(1, 3), three, Fraction(-1))
+        assert not _power_at_least(Fraction(8), three, Fraction(2))
 
     def test_power_at_least_settles_exact_equality(self):
         sqrt2 = BetaContext.from_root((-2, 0, 1), 1, 2)
@@ -641,7 +715,55 @@ class TestCertifiedDecisions:
 
 
 CUBIC = (-1, -1, 0, 1)  # x^3 - x - 1, the smallest Pisot number
+
+
+def element_bases():
+    return {"2.5": BetaContext.from_value("2.5"), "7/5": BetaContext.from_value("7/5"),
+            "3": BetaContext.from_value(3), "golden": BetaContext.golden(),
+            "x^3-x-1": BetaContext.from_root(CUBIC, 1, 2)}
+
+
+class FractionElement:
+    """An element of Q(beta) as Fraction coefficients of 1, beta, beta^2, ...
+    (one coefficient for a rational base), with signs by ``oracle_element_sign``."""
+
+    def __init__(self, ctx, x):
+        self.ctx = ctx
+        degree = 1 if ctx.beta_fraction is not None else ctx.exact.degree
+        self.vec = [Fraction(x)] + [Fraction(0)] * (degree - 1)
+
+    def times_beta(self):
+        if self.ctx.beta_fraction is not None:
+            self.vec = [self.vec[0] * self.ctx.beta_fraction]
+        else:
+            self.vec = multiply_by_root(self.vec, self.ctx.exact.poly)
+
+    def sign(self, minus=0):
+        """The sign of the value minus an integer."""
+        vec = [self.vec[0] - minus] + self.vec[1:]
+        if self.ctx.beta_fraction is not None:
+            return (vec[0] > 0) - (vec[0] < 0)
+        den = math.lcm(*(c.denominator for c in vec))
+        return oracle_element_sign([int(c * den) for c in vec], self.ctx.exact)
+
+    def value(self):
+        beta = self.ctx.beta_bounds(256).center
+        return sum(c * beta**i for i, c in enumerate(self.vec))
+
+    def matches(self, element):
+        if self.ctx.beta_fraction is not None:
+            return Fraction(element.num, element.den) == self.vec[0]
+        return [Fraction(c, element.den) for c in element.vec] == self.vec
+
+
+fractions_in_unit = st.builds(Fraction, st.integers(0, 999), st.integers(1000, 5000))
 BITS_GRID = (None, 64, 100, 192, 300)
+
+
+def at_bits(ctx, bits):
+    """ctx with its working precision set to bits (None: the default)."""
+    ctx.precision_bits = bits or DEFAULT_PRECISION_BITS
+    return ctx
 
 
 def kernel_bases():
@@ -664,6 +786,83 @@ def random_words(rng, amax, count):
     return words
 
 
+class TestElements:
+    bases = element_bases()
+
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_operations_against_fractions(self, data):
+        ctx = self.bases[data.draw(st.sampled_from(sorted(self.bases)))]
+        x = data.draw(fractions_in_unit)
+        element, ref = ctx._element(x), FractionElement(ctx, x)
+        ops = st.tuples(st.sampled_from(("push", "next_digit", "add", "sub")),
+                        st.integers(-3, 3), fractions_in_unit)
+        for op, c, y in data.draw(st.lists(ops, max_size=12)):
+            if op == "push":
+                element.push(c)
+                ref.times_beta()
+                ref.vec[0] += c
+            elif op == "next_digit":
+                digit = element.next_digit()
+                ref.times_beta()
+                assert ref.sign(digit) >= 0 and ref.sign(digit + 1) < 0
+                ref.vec[0] -= digit
+            else:
+                # y + c beta, an element off the rationals for an algebraic base
+                other, other_ref = ctx._element(y), FractionElement(ctx, y)
+                other.push(0)
+                other_ref.times_beta()
+                other.add(ctx._element(Fraction(c)))
+                other_ref.vec[0] += c
+                getattr(element, op)(other)
+                sign = 1 if op == "add" else -1
+                ref.vec = [a + sign * b for a, b in zip(ref.vec, other_ref.vec)]
+            assert ref.matches(element), op
+            assert element.sign() == ref.sign()
+            assert element.is_zero() == (ref.sign() == 0)
+            log2 = element.log2_abs()
+            if ref.sign() == 0:
+                assert log2 is None
+            else:
+                assert abs(log2 - math.log2(abs(ref.value()))) < 1e-6
+
+
+class TestIntervalExpansion:
+    def test_indeterminate_interval_raises_at_once(self):
+        x = BoundedReal.from_endpoints(Fraction(1, 3), Fraction(1, 2))
+        for ctx in (BetaContext.golden(), BetaContext.from_root(CUBIC, 1, 2)):
+            width = ctx.exact.hi - ctx.exact.lo
+            lo, hi = beta_expand(x.lo, ctx, 12), beta_expand(x.hi, ctx, 12)
+            first = next(k for k in range(12) if lo[k] != hi[k])
+            start = time.perf_counter()
+            with pytest.raises(DigitIndeterminateError) as info:
+                beta_expand(x, ctx, 12)
+            assert time.perf_counter() - start < 1.0
+            assert str(info.value) == f"digit indeterminate at step {first + 1}"
+            assert ctx.exact.hi - ctx.exact.lo == width
+            assert beta_expand(x, ctx, first) == lo[:first]
+
+    def test_determinate_intervals_match_the_escalation_loop(self):
+        rng = random.Random(91)
+        for name in ("2.5", "7/5", "golden"):
+            ctx = element_bases()[name]
+            for _ in range(25):
+                lo = Fraction(rng.getrandbits(40), 1 << 40)
+                width = Fraction(rng.randrange(1, 1 << 20), 1 << 40)
+                hi = min(lo + width, 1 - Fraction(1, 1 << 40))
+                shared = 0
+                while shared < 16 and beta_expand(lo, ctx, shared + 1) == \
+                        beta_expand(hi, ctx, shared + 1):
+                    shared += 1
+                x = BoundedReal.from_endpoints(lo, hi)
+                n = rng.randint(0, shared)
+                assert beta_expand(x, ctx, n) == oracle_beta_expand_interval(x, ctx, n), \
+                    (name, lo, hi, n)
+                if shared < 16:
+                    with pytest.raises(DigitIndeterminateError, match=f"step {shared + 1}$"):
+                        beta_expand(x, ctx, shared + 1)
+
+
 class TestCylinderKernels:
     shared_bases = kernel_bases()
 
@@ -675,28 +874,28 @@ class TestCylinderKernels:
             assert ours.exact.poly == ref.exact.poly
             for w in random_words(rng, ours.alphabet_max, 30):
                 bits = rng.choice(BITS_GRID)
-                assert word_sum_bounds(w, ours, bits) == \
-                    oracle_word_sum_bounds(w, ref, bits), (w, bits)
+                assert word_sum_bounds(w, at_bits(ours, bits)) == \
+                    oracle_word_sum_bounds(w, at_bits(ref, bits)), (w, bits)
                 k = rng.randrange(-80, 80)
                 bits = rng.choice(BITS_GRID)
-                assert beta_power_bounds(ours, k, bits) == \
-                    oracle_beta_power_bounds(ref, k, bits), (k, bits)
+                assert beta_power_bounds(at_bits(ours, bits), k) == \
+                    oracle_beta_power_bounds(at_bits(ref, bits), k), (k, bits)
                 assert (ours.exact.lo, ours.exact.hi) == (ref.exact.lo, ref.exact.hi)
 
     def test_bracket_refined_past_the_requested_bits(self):
         rng = random.Random(72)
         for ctx in kernel_bases():
-            word_sum_bounds((1,), ctx, 384)  # moves the bracket to 384 bits
+            word_sum_bounds((1,), at_bits(ctx, 384))  # moves the bracket to 384 bits
             width = ctx.exact.hi - ctx.exact.lo
             assert 0 < width <= Fraction(1, 1 << 384)
             for w in random_words(rng, ctx.alphabet_max, 6):
                 for bits in BITS_GRID:
-                    assert word_sum_bounds(w, ctx, bits) == \
-                        oracle_word_sum_bounds(w, ctx, bits), (w, bits)
+                    assert word_sum_bounds(w, at_bits(ctx, bits)) == \
+                        oracle_word_sum_bounds(w, ctx), (w, bits)
             for k in (-80, -1, 0, 1, 79):
                 for bits in BITS_GRID:
-                    assert beta_power_bounds(ctx, k, bits) == \
-                        oracle_beta_power_bounds(ctx, k, bits), (k, bits)
+                    assert beta_power_bounds(at_bits(ctx, bits), k) == \
+                        oracle_beta_power_bounds(ctx, k), (k, bits)
             assert ctx.exact.hi - ctx.exact.lo == width
 
     @settings(max_examples=60)
@@ -705,8 +904,8 @@ class TestCylinderKernels:
         ctx = data.draw(st.sampled_from(self.shared_bases))
         digits = st.integers(-2, ctx.alphabet_max + 1)
         w = tuple(data.draw(st.lists(digits, max_size=64)))
-        bits = data.draw(st.sampled_from(BITS_GRID))
-        assert word_sum_bounds(w, ctx, bits) == oracle_word_sum_bounds(w, ctx, bits)
+        at_bits(ctx, data.draw(st.sampled_from(BITS_GRID)))
+        assert word_sum_bounds(w, ctx) == oracle_word_sum_bounds(w, ctx)
 
     def test_rational_base(self):
         ctx = BetaContext.from_value("2.5")
