@@ -1,10 +1,12 @@
 """Command-line surface: every operation, machine-readable output.
 
 Results are printed as a JSON envelope {command, params, result} with sorted
-keys, so identical inputs and seeds give byte-identical output.  Module
-errors exit with code 1 and a structured JSON error; argparse handles bad
-arguments with its usual exit code 2.  csv/tsv output flattens the result
-rows for plotting.
+keys, so identical inputs and seeds give byte-identical output.  The
+library's typed errors (``LIBRARY_ERRORS``) exit with code 1 and a
+structured JSON error; any other exception is a fault in the program and
+exits 1 with the same error marked ``"internal": true``.  argparse handles
+bad arguments with its usual exit code 2.  csv/tsv output flattens the
+result rows for plotting.
 """
 
 from __future__ import annotations
@@ -20,18 +22,32 @@ from . import cantor as cantor_mod
 from . import dimension as dim_mod
 from . import recurrence as rec_mod
 from . import symbolic as sym_mod
+from .algebraic import PrecisionError
 from .expansion import (
     BetaContext,
+    DigitIndeterminateError,
     approximate_beta,
     beta_expand,
     word_from_text,
     word_text,
 )
-from .numerics import _as_fraction
+from .numerics import IndeterminateSignError, _as_fraction
 
 
 class NoDigitsError(ValueError):
     """--stdin-digits found no digits to analyse."""
+
+
+class WordLimitError(RuntimeError):
+    """enumerate found more words than --limit allows."""
+
+
+# raised on bad input or a request the library cannot decide; any other
+# exception escaping a command is a fault in the program itself
+LIBRARY_ERRORS = (ValueError, PrecisionError, DigitIndeterminateError,
+                  IndeterminateSignError, cantor_mod.ConstructionError,
+                  rec_mod.FormViolationError, rec_mod.StreamTooShortError,
+                  WordLimitError)
 
 
 def _default_bits() -> int:
@@ -134,7 +150,7 @@ def cmd_enumerate(args):
     words = []
     for i, w in enumerate(sym_mod.enumerate_admissible(ctx, args.n)):
         if i >= args.limit:
-            raise RuntimeError(f"more than {args.limit} words; raise --limit")
+            raise WordLimitError(f"more than {args.limit} words; raise --limit")
         words.append(word_text(w))
     return {"n": args.n, "count": len(words), "words": words}, [(w,) for w in words]
 
@@ -381,6 +397,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # structured failure for scripts
         err = {"command": args.command, "error": type(exc).__name__,
                "message": str(exc)}
+        if not isinstance(exc, LIBRARY_ERRORS):
+            err["internal"] = True
         print(json.dumps(err, sort_keys=True))
         return 1
     _emit(args.command, params, result, rows if args.output != "json" else None,

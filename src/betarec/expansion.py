@@ -12,12 +12,37 @@ Q(beta), updated in place (``BetaContext._element``): integers num/den for a
 rational base, an integer coefficient vector over a denominator for an
 algebraic one.  Digits and signs are therefore decided exactly, and a point
 supplied as an interval is expanded from its two exact endpoints.
+
+Long orbit streams on an algebraic base (``extend``) are run in floats first
+and certified as they go.  The exact state x is converted to a float v with
+a bound err >= |x - v|, and then ``w = beta_f v; d = floor(w); v = w - d``
+runs for up to B steps, with dbeta >= |beta_f - beta| and u = 2**-53:
+
+    err <- err (beta_f + dbeta) + dbeta |v| + 2u (|w| + 1),
+
+which bounds |beta x - w| (u |w| for the product's rounding; the rest covers
+the rounding of the bound itself while err < 1/2).  A digit is taken only
+when w lies more than err from both floor(w) and floor(w) + 1, so it is the
+exact greedy digit.  B is the largest block <= 32 with beta_f**B < 2**24,
+which keeps err far below 1/2 over a block.  After m <= B float digits
+d_1 .. d_m the exact state is rebuilt in one step,
+
+    vec <- sum_i c_i [beta**(m+i)] - den sum_j d_j [beta**(m-j)],
+
+from the integer vectors [beta**k] of the base; where a margin fails, that
+one digit is taken by the certified floor.  On a Pisot base the state's
+coefficients stay bounded (Schmidt, "On periodic expansions of Pisot numbers
+and Salem numbers", Bull. LMS 12, 1980), so almost every digit is decided
+in floats; states too large for a float (over 900 bits) take the exact
+per-digit path, which is where the coefficients of a non-Pisot base end up.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Iterable, Optional, Union
 
 from .algebraic import (
@@ -88,6 +113,16 @@ class _RationalElement:
         digit, self.num = divmod(self.p * self.num, self.den)
         return digit
 
+    def extend(self, out: list[int], k: int) -> None:
+        """Append the next k greedy digits to out, as k ``next_digit`` calls would."""
+        p, q, num, den = self.p, self.q, self.num, self.den
+        append = out.append
+        for _ in range(k):
+            den *= q
+            digit, num = divmod(p * num, den)
+            append(digit)
+        self.num, self.den = num, den
+
     def add(self, other: "_RationalElement") -> None:
         self.num = self.num * other.den + other.num * self.den
         self.den *= other.den
@@ -109,22 +144,100 @@ class _RationalElement:
         return _scaled_log2(abs(self.num)) - _scaled_log2(self.den)
 
 
+_UNIT = 2.0 ** -53  # unit roundoff of a float64
+_FLOAT_BITS = 900  # states with a coefficient past this stay exact
+
+
+class _FloatRun:
+    """The float digit filter of one algebraic base (see the module notes).
+
+    ``beta_f`` and ``dbeta`` come from ``BetaContext.beta_float_bound``;
+    ``block`` is B.  ``state_cols[m][k]`` and ``digit_cols[k]`` hold the
+    k-th coefficients of [beta**(m+i)] over i < degree and of [beta**j] over
+    j < B, the two sums of the resync.
+    """
+
+    __slots__ = ("beta_f", "beta_up", "dbeta", "block", "powers", "power_errs",
+                 "state_cols", "digit_cols")
+
+    def __init__(self, beta_f: float, dbeta: float, block: int, poly: tuple[int, ...]):
+        degree = len(poly) - 1
+        self.beta_f, self.dbeta, self.block = beta_f, dbeta, block
+        self.beta_up = beta_f + dbeta
+        self.powers = [1.0]
+        for _ in range(1, degree):
+            self.powers.append(self.powers[-1] * beta_f)
+        # |beta**i - beta_f**i| <= i dbeta (beta_f + dbeta)**(i-1)
+        self.power_errs = [i * dbeta * self.beta_up ** (i - 1) if i else 0.0
+                           for i in range(degree)]
+        basis = [[1] + [0] * (degree - 1)]
+        for _ in range(1, block + degree):
+            basis.append(multiply_by_root(basis[-1], poly))
+        self.state_cols = [list(zip(*basis[m : m + degree])) for m in range(block + 1)]
+        self.digit_cols = list(zip(*basis[:block]))
+
+    @classmethod
+    def for_context(cls, ctx: "BetaContext") -> Optional["_FloatRun"]:
+        """The filter for ctx's algebraic base, or None when floats cannot
+        hold its states (beta at least 2**24, or powers out of range)."""
+        beta_f, dbeta = ctx.beta_float_bound()
+        degree = ctx.exact.degree
+        if math.log2(beta_f) * (degree - 1) + math.log2(degree) > 100:
+            return None
+        block = 0
+        while block < 32 and beta_f ** (block + 1) < 2.0**24:
+            block += 1
+        return cls(beta_f, dbeta, block, ctx.exact.poly) if block else None
+
+    def start(self, vec: list[int], den: int) -> tuple[float, float]:
+        """(v, err) with |x - v| <= err for x = (sum vec[i] beta**i) / den.
+
+        With A = sum |c_i| beta_f**i, the conversions, products, sums and the
+        division round by at most (4 degree + 4) u A / den in all, and the
+        powers of beta_f differ from those of beta by ``power_errs``; err is
+        twice that total.
+        """
+        acc = size = perr = 0.0
+        for c, pw, pe in zip(vec, self.powers, self.power_errs):
+            cf = float(c)
+            acc += cf * pw
+            cf = abs(cf)
+            size += cf * pw
+            perr += cf * pe
+        den_f = float(den)
+        bound = perr + (4 * len(vec) + 4) * _UNIT * size
+        # x >= 0, so a negative v moves to 0 with the same bound
+        return max(acc / den_f, 0.0), 2.0 * bound / den_f
+
+    def resync(self, vec: list[int], den: int, digits: list[int]) -> list[int]:
+        """The exact state after the greedy digits ``digits`` (at most B) from vec/den."""
+        rev = digits[::-1]
+        return [sum(map(mul, vec, scol)) - den * sum(map(mul, rev, dcol))
+                for scol, dcol in zip(self.state_cols[len(digits)], self.digit_cols)]
+
+
 class _AlgebraicElement:
     """An exact x = (sum vec[i] beta**i) / den for a root beta of a monic
     integer polynomial, updated in place; the same interface as
     ``_RationalElement``.
 
     Floors and signs are certified by ``floor_element`` against the root
-    bracket, starting at ``bits``.
+    bracket, starting at ``bits``.  ``extend`` decides digits in floats
+    first, under the running bound err <- err (beta_f + dbeta) + dbeta |v|
+    + 2u (|w| + 1), and rebuilds vec once per block of B digits from the
+    integer vectors of the powers of beta; a digit whose margin fails, and
+    every digit of a state past 900 bits, goes through ``floor_element``.
+    The state 0 is fixed, so its digits are zeros with no floor taken.
     """
 
-    __slots__ = ("root", "vec", "den", "bits", "_floats")
+    __slots__ = ("ctx", "root", "vec", "den", "bits", "_floats")
 
-    def __init__(self, root: RootBracket, num: int, den: int, bits: int):
-        self.root = root
-        self.vec = [num] + [0] * (root.degree - 1)
+    def __init__(self, ctx: "BetaContext", num: int, den: int):
+        self.ctx = ctx
+        self.root = ctx.exact
+        self.vec = [num] + [0] * (self.root.degree - 1)
         self.den = den
-        self.bits = bits
+        self.bits = ctx.precision_bits
         self._floats: Optional[list[float]] = None
 
     def push(self, c: int) -> None:
@@ -136,6 +249,42 @@ class _AlgebraicElement:
         digit = floor_element(self.vec, self.den, self.root, self.bits)
         self.vec[0] -= digit * self.den
         return digit
+
+    def extend(self, out: list[int], k: int) -> None:
+        """Append the next k greedy digits to out, as k ``next_digit`` calls would."""
+        run = self.ctx._float_run
+        append = out.append
+        while k > 0:
+            if not any(self.vec):  # every digit of 0 would fail its margin
+                out.extend([0] * k)
+                return
+            if (run is None or self.den.bit_length() > _FLOAT_BITS
+                    or any(c.bit_length() > _FLOAT_BITS for c in self.vec)):
+                for _ in range(k):
+                    append(self.next_digit())
+                return
+            v, err = run.start(self.vec, self.den)
+            m = min(run.block, k)
+            beta_f, beta_up, dbeta = run.beta_f, run.beta_up, run.dbeta
+            two_u = 2.0 * _UNIT
+            first = len(out)
+            for _ in range(m):
+                # v >= 0 throughout, so w >= 0 and int() is the floor
+                w = beta_f * v
+                d = int(w)
+                f = w - d  # exact
+                err = err * beta_up + dbeta * v + two_u * (w + 1.0)
+                if not err < f < 1.0 - err:
+                    break
+                append(d)
+                v = f
+            taken = len(out) - first
+            if taken:
+                self.vec = run.resync(self.vec, self.den, out[first:])
+                k -= taken
+            if taken < m:
+                append(self.next_digit())
+                k -= 1
 
     def add(self, other: "_AlgebraicElement") -> None:
         self.vec = [a * other.den + b * self.den for a, b in zip(self.vec, other.vec)]
@@ -197,6 +346,8 @@ class BetaContext:
         self._one_stream = None
         self._one_terminated: Optional[int] = None
         self._star_period: Optional[Word] = _star_period
+        # value of the greedy cylinder tail per (follower state, refine), rational bases
+        self._cylinder_tails: dict[tuple[int, int], Fraction] = {}
         if isinstance(exact, RootBracket) and exact.degree < 2:
             raise ValueError("degree-1 bases should be constructed as rationals")
         if self.beta_bounds(64).hi <= 1:
@@ -246,6 +397,13 @@ class BetaContext:
     def beta_float(self) -> float:
         return float(self.beta_bounds(64).center)
 
+    def beta_float_bound(self) -> tuple[float, float]:
+        """(beta_f, dbeta): ``beta_float()`` and a bound dbeta >= |beta_f - beta|,
+        twice the larger distance from beta_f to an end of the 64-bit bracket."""
+        beta_f = self.beta_float()
+        bounds, exact_f = self.beta_bounds(64), Fraction(beta_f)
+        return beta_f, 2.0 * float(max(exact_f - bounds.lo, bounds.hi - exact_f))
+
     def describe(self) -> str:
         if isinstance(self.exact, Fraction):
             return str(self.exact)
@@ -262,7 +420,14 @@ class BetaContext:
         if isinstance(self.exact, Fraction):
             return _RationalElement(self.exact.numerator, self.exact.denominator,
                                     x.numerator, x.denominator)
-        return _AlgebraicElement(self.exact, x.numerator, x.denominator, self.precision_bits)
+        return _AlgebraicElement(self, x.numerator, x.denominator)
+
+    @cached_property
+    def _float_run(self) -> Optional[_FloatRun]:
+        """The float digit filter of an algebraic base, built on first use."""
+        if isinstance(self.exact, Fraction):
+            return None
+        return _FloatRun.for_context(self)
 
     def _extend_one_digits(self, n: int) -> None:
         if self._one_terminated is not None:

@@ -40,6 +40,10 @@ class FormViolationError(AssertionError):
     """A return prefix matched none of the three structural forms."""
 
 
+class StreamTooShortError(IndexError):
+    """A digit view holds too few digits for the requested window."""
+
+
 def _digit_dtype(ctx: BetaContext) -> type:
     return np.int8 if ctx.alphabet_max <= 127 else np.int64
 
@@ -172,8 +176,7 @@ class OrbitView:
         """Extend the stream to at least n digits where possible; returns depth."""
         if self._stream is not None and len(self._digits) < n:
             target = max(n, 2 * len(self._digits), 256)
-            while len(self._digits) < target:
-                self._digits.append(self._stream.next_digit())
+            self._stream.extend(self._digits, target - len(self._digits))
         return len(self._digits)
 
     def digits(self, n: int) -> list[int]:
@@ -517,9 +520,7 @@ def _batch_gaps(view: OrbitView, ns: np.ndarray) -> np.ndarray:
     j = view.z_values()[ns]
     sel = np.flatnonzero((ns + _LOOKAHEAD <= depth) & (ns + j + _SCAN_STEPS <= depth))
     j = j[sel]
-    beta_f = ctx.beta_float()
-    bounds, exact_f = ctx.beta_bounds(64), Fraction(beta_f)
-    dbeta = 2.0 * float(max(exact_f - bounds.lo, bounds.hi - exact_f))
+    beta_f, dbeta = ctx.beta_float_bound()
     s, _, err = _difference_scan(view._digit_array(), beta_f, ns[sel] + j, j.copy(),
                                  dbeta=dbeta)
     tail = max(ctx.alphabet_max, 1) / (beta_f - 1.0)
@@ -698,8 +699,8 @@ def _lambda_series(view: OrbitView, n_max: int) -> tuple[list[float], np.ndarray
     while True:
         depth = view.ensure(max(n_max + 256, 2 * view.depth if probe else 0))
         if depth <= n_max:
-            raise IndexError(f"digit stream of depth {depth} is too short "
-                             f"for n_max {n_max}")
+            raise StreamTooShortError(f"digit stream of depth {depth} is too short "
+                                      f"for n_max {n_max}")
         j_arr = view.z_values()[1 : n_max + 1]
         need = int((n_arr + j_arr).max()) + 1 + _SCAN_STEPS
         if need <= depth or view._stream is None or depth >= _SCAN_CAP:

@@ -22,6 +22,7 @@ from .expansion import (
     Word,
     beta_power_bounds,
     word_sum_bounds,
+    word_value_fraction,
 )
 from .numerics import BoundedReal
 
@@ -249,6 +250,10 @@ def cylinder(w: Word, ctx: BetaContext, refine: int = 24) -> Cylinder:
     admissible digits, which follows the expansion of 1 from the follower
     state, so `refine` extension digits determine the length within
     beta^-(n+refine).
+
+    On a rational base the sums are exact, so the length's lower end is
+    beta^-n value(ext); value(ext) depends only on the state and refine and
+    is cached on the context.
     """
     if refine < 0:
         raise ValueError(f"refine must be non-negative, got {refine}")
@@ -256,12 +261,21 @@ def cylinder(w: Word, ctx: BetaContext, refine: int = 24) -> Cylinder:
     state = automaton_for(ctx, n + refine).feed(w)
     if state is None:
         raise ValueError("word is not admissible")
-    ext = ctx.eps_star(state + refine)[state:]
     left = word_sum_bounds(w, ctx)
-    sup_base = word_sum_bounds(w + ext, ctx)
     _, tail_hi = beta_power_bounds(ctx, -(n + refine))
-    diff = sup_base - left
-    length = BoundedReal.from_endpoints(diff.lo, diff.hi + tail_hi)
+    if ctx.beta_fraction is not None:
+        tail = ctx._cylinder_tails.get((state, refine))
+        if tail is None:
+            ext = ctx.eps_star(state + refine)[state:]
+            tail = word_value_fraction(ext, ctx.beta_fraction)
+            ctx._cylinder_tails[(state, refine)] = tail
+        scale, _ = beta_power_bounds(ctx, -n)
+        half = tail_hi / 2
+        length = BoundedReal(scale * tail + half, half)  # [scale tail, scale tail + tail_hi]
+    else:
+        ext = ctx.eps_star(state + refine)[state:]
+        diff = word_sum_bounds(w + ext, ctx) - left
+        length = BoundedReal.from_endpoints(diff.lo, diff.hi + tail_hi)
     return Cylinder(word=w, left=left, length=length, full=state == 0)
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from betarec import symbolic as sym_mod
 from betarec.cantor import build_plan, sample_point
 from betarec.cli import main
 from betarec.expansion import BetaContext, word_text
@@ -180,6 +181,36 @@ class TestCliContract:
         assert code == 1
         assert payload["error"] == "ValueError"
         jsonschema.validate(payload, schema)
+
+    def test_internal_fault_is_marked(self, capsys, schema, monkeypatch):
+        def fault(ctx, n):
+            return [][n]
+        monkeypatch.setattr(sym_mod, "count_admissible", fault)
+        code = main(["count", "--beta", "golden", "--n", "6"])
+        captured = capsys.readouterr()
+        assert code == 1
+        payload = json.loads(captured.out)
+        assert payload == {"command": "count", "error": "IndexError",
+                           "message": "list index out of range", "internal": True}
+        jsonschema.validate(payload, schema)
+        assert captured.err == ""
+
+    def test_typed_errors_are_not_internal(self, capsys, schema, monkeypatch):
+        cases = [(("approx-beta", "--beta", "2", "--N", "1"), "ValueError"),
+                 (("enumerate", "--beta", "golden", "--n", "6", "--limit", "3"),
+                  "WordLimitError"),
+                 (("exponents", "--beta", "2.5", "--stdin-digits", "--N", "40"),
+                  "StreamTooShortError")]
+        for argv, error in cases:
+            monkeypatch.setattr("sys.stdin", io.StringIO("1,0,2,0,1"))
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            assert code == 1
+            payload = json.loads(captured.out)
+            assert payload["error"] == error
+            assert "internal" not in payload
+            jsonschema.validate(payload, schema)
+            assert captured.err == ""
 
     def test_plan_commands_reject_r_infinity(self, capsys, schema):
         for command in (("cantor", "plan"), ("cantor", "sample"), ("dim", "series")):

@@ -25,6 +25,12 @@ The return oracles are the loop that certifies every first-digit recurrence
 one by one with ``_depth_from_lambda``, and the Fraction comparison of a
 digit view's left endpoint that the integer comparison replaced.  Profiles,
 the digits a view ends up holding, and comparison signs must be equal.
+
+The digit-stream oracle is the per-digit ``next_digit`` loop that
+``extend`` replaced, with a certified floor for every digit; the digits and
+the exact state left behind must be equal.  The rational cylinder oracle is
+the two word sums, subtracted in Fractions, that the cached per-state tail
+replaced; the cylinders must be equal.
 """
 
 import itertools
@@ -38,7 +44,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betarec import recurrence
+from betarec import expansion, recurrence
 from betarec.algebraic import PRECISION_CAP_BITS, multiply_by_root
 from betarec.cantor import _power_at_least, build_plan, sample_point
 from betarec.expansion import (
@@ -1148,3 +1154,215 @@ class TestReturnKernels:
         for digits in return_streams(sqrt7, random.Random(86), (300,)):
             view = OrbitView.from_digits(sqrt7, digits)
             assert (recurrence._batch_gaps(view, first_digit_returns(view)) < 0).all()
+
+
+# ---------------------------------------------------------------------------
+# orbit digit streams and rational cylinders
+# ---------------------------------------------------------------------------
+
+
+def oracle_digit_stream(element, n):
+    """The per-digit loop that ``extend`` replaced: n ``next_digit`` calls."""
+    return [element.next_digit() for _ in range(n)]
+
+
+def stream_bases():
+    return {"golden": BetaContext.golden(), "x^3-x-1": BetaContext.from_root(CUBIC, 1, 2),
+            "x^2-3x+1": BetaContext.from_root((1, -3, 1), 2, 3),
+            "x^2-5x+5": BetaContext.from_root((5, -5, 1), 3, 4)}
+
+
+def element_state(element):
+    if hasattr(element, "vec"):
+        return list(element.vec), element.den
+    return element.num, element.den
+
+
+def inverse_power(ctx, k):
+    """beta**-k as an element, for a base whose polynomial ends in +-1."""
+    poly = ctx.exact.poly
+    assert abs(poly[0]) == 1
+    element = ctx._element(Fraction(1))
+    for _ in range(k):
+        # x / beta = c_0 / beta + sum c_i beta**(i-1), and
+        # 1 / beta = -(poly[1] + poly[2] beta + ... + beta**(d-1)) / poly[0]
+        c0, rest = element.vec[0], element.vec[1:] + [0]
+        element.vec = [r - c0 * poly[0] * poly[i + 1] for i, r in enumerate(rest)]
+    return element
+
+
+def count_floors(monkeypatch):
+    """Record every certified floor the exact elements take."""
+    calls = []
+    inner = expansion.floor_element
+
+    def counted(*args):
+        calls.append(args[1])
+        return inner(*args)
+    monkeypatch.setattr(expansion, "floor_element", counted)
+    return calls
+
+
+class TestDigitStreams:
+    def test_random_points_match_the_per_digit_loop(self):
+        rng = random.Random(101)
+        for name, ctx in stream_bases().items():
+            block = ctx._float_run.block
+            for i in range(8):
+                x = (Fraction(rng.getrandbits(64), 1 << 64) if i % 2
+                     else Fraction(rng.randrange(1, 997), 997))
+                n = rng.choice((1, block - 1, block, block + 1, 3 * block + 5, 700))
+                ours, ref = orbit_digit_stream(ctx, x), orbit_digit_stream(ctx, x)
+                out = [7]
+                ours.extend(out, n)
+                assert out[1:] == oracle_digit_stream(ref, n), (name, x, n)
+                assert element_state(ours) == element_state(ref), (name, x, n)
+
+    def test_blocks_per_base(self):
+        blocks = {name: ctx._float_run.block for name, ctx in stream_bases().items()}
+        assert blocks == {"golden": 32, "x^3-x-1": 32, "x^2-3x+1": 17, "x^2-5x+5": 12}
+        # beta near 2**25: no block keeps beta_f**B below 2**24, so every digit is exact
+        huge = BetaContext.from_root((-(1 << 50), -1, 1), 1 << 25, (1 << 25) + 1)
+        assert huge._float_run is None
+        x = Fraction(2**64 - 59, 2**64)
+        ours, ref = orbit_digit_stream(huge, x), orbit_digit_stream(huge, x)
+        out = []
+        ours.extend(out, 40)
+        assert out == oracle_digit_stream(ref, 40)
+        assert element_state(ours) == element_state(ref)
+
+    def test_pieces_match_one_call(self):
+        rng = random.Random(102)
+        for ctx in stream_bases().values():
+            x = Fraction(rng.getrandbits(64), 1 << 64)
+            whole, pieces = orbit_digit_stream(ctx, x), orbit_digit_stream(ctx, x)
+            out = []
+            while len(out) < 400:
+                pieces.extend(out, rng.randrange(0, 45))
+            ref = []
+            whole.extend(ref, len(out))
+            assert out == ref
+            assert element_state(pieces) == element_state(whole)
+
+    def test_boundary_starts_take_the_certified_floor(self, monkeypatch):
+        bases = stream_bases()
+        calls = count_floors(monkeypatch)
+        for name, ctx in bases.items():
+            # x = 0 is fixed: its digits are all 0, with no floor to take
+            ours, ref = orbit_digit_stream(ctx, Fraction(0)), orbit_digit_stream(ctx, Fraction(0))
+            out = []
+            del calls[:]
+            ours.extend(out, 70)
+            assert not calls
+            assert out == oracle_digit_stream(ref, 70) == [0] * 70
+            assert element_state(ours) == element_state(ref)
+            if abs(ctx.exact.poly[0]) != 1:
+                continue
+            # beta**-k: digit k lands exactly on 1, inside or at the end of a
+            # block, and only the floor can take it.  Its coefficients grow
+            # with k, but the cubic's stay small, so the float run takes
+            # every other digit there, as it does for small k on every base.
+            for k in (1, 2, 5, 9, 31, 32, 33, 40):
+                ours, ref = inverse_power(ctx, k), inverse_power(ctx, k)
+                out = []
+                del calls[:]
+                ours.extend(out, 80)
+                floors = len(calls)
+                assert out == oracle_digit_stream(ref, 80) == [0] * (k - 1) + [1] + [0] * (80 - k)
+                assert element_state(ours) == element_state(ref)
+                assert floors >= 1, (name, k)
+                if name == "x^3-x-1" or k <= 9:
+                    assert floors == 1, (name, k)
+
+    def test_pisot_points_rarely_need_the_floor(self, monkeypatch):
+        bases = stream_bases()
+        calls = count_floors(monkeypatch)
+        rng = random.Random(103)
+        for name in ("golden", "x^3-x-1", "x^2-3x+1"):
+            del calls[:]
+            for _ in range(5):
+                out = []
+                orbit_digit_stream(bases[name], Fraction(rng.getrandbits(64), 1 << 64)).extend(out, 4000)
+            assert len(calls) < 200, name  # 1 % of 20,000 digits
+
+    def test_non_pisot_base_takes_the_exact_path(self, monkeypatch):
+        ctx = stream_bases()["x^2-5x+5"]  # roots 3.618 and 1.382
+        assert not recurrence._is_pisot(ctx.exact.poly)
+        x = Fraction(12345, 65536)
+        ours, ref = orbit_digit_stream(ctx, x), orbit_digit_stream(ctx, x)
+        out = []
+        ours.extend(out, 2500)
+        assert out == oracle_digit_stream(ref, 2500)
+        assert element_state(ours) == element_state(ref)
+        assert max(c.bit_length() for c in ours.vec) > 900
+        calls = count_floors(monkeypatch)
+        ours.extend(out, 50)
+        assert len(calls) == 50
+        assert out[2500:] == oracle_digit_stream(ref, 50)
+        assert element_state(ours) == element_state(ref)
+
+    def test_rational_bases_match_the_per_digit_loop(self):
+        rng = random.Random(104)
+        for name in ("2.5", "7/5", "3"):
+            ctx = element_bases()[name]
+            for _ in range(6):
+                x = Fraction(rng.randrange(0, 10**6), 10**6 + rng.randrange(1, 999))
+                ours, ref = orbit_digit_stream(ctx, x), orbit_digit_stream(ctx, x)
+                out = []
+                ours.extend(out, 300)
+                assert out == oracle_digit_stream(ref, 300)
+                assert element_state(ours) == element_state(ref)
+
+    def test_chained_ensure_calls(self):
+        rng = random.Random(105)
+        for ctx in list(stream_bases().values()) + [element_bases()["2.5"]]:
+            x = Fraction(rng.getrandbits(64), 1 << 64)
+            view, ref = OrbitView.from_point(ctx, x), orbit_digit_stream(ctx, x)
+            digits = []
+            for n in (1, 300, 513, 513, 1200, 2000):
+                depth = view.ensure(n)
+                assert depth >= n
+                digits += oracle_digit_stream(ref, depth - len(digits))
+                assert view.digits(depth) == digits
+                assert element_state(view._stream) == element_state(ref)
+
+
+RATIONAL_CYLINDER_BASES = {name: BetaContext.from_value(name) for name in ("2.5", "7/5", "3")}
+
+
+def oracle_rational_cylinder(w, ctx, refine):
+    """The two-sum cylinder of a rational base, in Fractions: value(w + tail)
+    - value(w) is the length's lower end."""
+    beta = ctx.beta_fraction
+    n = len(w)
+    left = word_value_fraction(w, beta)
+    low = word_value_fraction(w + oracle_greedy_tail(w, ctx, refine), beta) - left
+    state = automaton_for(ctx, n + refine).feed(w)
+    return Cylinder(word=w, left=BoundedReal.exact(left),
+                    length=BoundedReal.from_endpoints(low, low + beta ** -(n + refine)),
+                    full=state == 0)
+
+
+@st.composite
+def admissible_words(draw, ctx, max_len):
+    """Admissible words of length <= max_len; each digit is drawn, or the
+    largest one the follower automaton allows, so deep states are common."""
+    table = automaton_for(ctx, max_len).transition_table()
+    state, word = 0, []
+    for _ in range(draw(st.integers(0, max_len))):
+        allowed = [c for c, t in enumerate(table[state]) if t is not None]
+        c = allowed[-1] if draw(st.booleans()) else draw(st.sampled_from(allowed))
+        word.append(c)
+        state = table[state][c]
+    return tuple(word)
+
+
+class TestRationalCylinders:
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_cached_tail_matches_the_two_sums(self, data):
+        ctx = RATIONAL_CYLINDER_BASES[data.draw(st.sampled_from(sorted(RATIONAL_CYLINDER_BASES)))]
+        refine = data.draw(st.sampled_from((0, 1, 7, 24, 40, 90)))
+        for w in data.draw(st.lists(admissible_words(ctx, 30), min_size=1, max_size=8)):
+            assert cylinder(w, ctx, refine) == oracle_rational_cylinder(w, ctx, refine), \
+                (w, refine)
