@@ -98,8 +98,13 @@ class BlockPool:
     """Words of length M admissible in the truncated base and full in the
     parent base, minus an explicit exclusion list.
 
-    Counting, prefix counting, membership, uniform sampling, and (for small
-    pools) enumeration all run on the product of the two follower automata.
+    The pool's language is the product of the two follower automata.  One
+    forward pass over the product states reachable in fewer than M digits
+    records each state's successors, indexed by digit and read from the
+    transition rows of the two automata (None where either rejects).  Everything else walks
+    those lists: the backward completion counts ``_g`` (acceptance at depth
+    M is parent state 0, fullness in the parent), membership and prefix
+    counts, the sampling rows, and enumeration.
     """
 
     # the sampling table's first row and the exclusions as a set, both made
@@ -112,57 +117,46 @@ class BlockPool:
         self.M = M
         self.child = child
         self.parent = parent
-        self._ca = automaton_for(child, M + 1)
-        self._pa = automaton_for(parent, M + 1)
-        self._amax = child.alphabet_max
-        # backward completion counts over product states, by position;
-        # acceptance at depth M is parent state 0 (fullness in the parent)
-        self._g: list[dict[tuple[int, int], int]] = [dict() for _ in range(M + 1)]
-        self._build_backward()
+        ca = automaton_for(child, M + 1)
+        pa = automaton_for(parent, M + 1)
+        self._succ: dict[tuple[int, int], list[Optional[tuple[int, int]]]] = {}
+        layers = [{(0, 0)}]
+        for _ in range(M):
+            nxt = set()
+            for s in layers[-1]:
+                succ = self._succ.get(s)
+                if succ is None:
+                    succ = [None if a is None or b is None else (a, b)
+                            for a, b in zip(ca.row(s[0]), pa.row(s[1]))]
+                    self._succ[s] = succ
+                nxt.update(t for t in succ if t is not None)
+            layers.append(nxt)
+        self._g: list[dict[tuple[int, int], int]] = [{} for _ in range(M + 1)]
+        self._g[M] = {s: 1 if s[1] == 0 else 0 for s in layers[M]}
+        for t in range(M - 1, -1, -1):
+            below = self._g[t + 1]
+            self._g[t] = {s: sum(below[u] for u in self._succ[s] if u is not None)
+                          for s in layers[t]}
         self.exclude = tuple(w for w in exclude if self._raw_contains(w))
-        self.size = self._g[0].get((0, 0), 0) - len(self.exclude)
+        self.size = self._g[0][(0, 0)] - len(self.exclude)
 
-    def _step(self, state: tuple[int, int], c: int) -> Optional[tuple[int, int]]:
-        sc = self._ca.step(state[0], c)
-        if sc is None:
-            return None
-        sp = self._pa.step(state[1], c)
-        if sp is None:
-            return None
-        return (sc, sp)
-
-    def _build_backward(self) -> None:
-        # reachable product states per position
-        layers: list[set[tuple[int, int]]] = [set() for _ in range(self.M + 1)]
-        layers[0].add((0, 0))
-        for t in range(self.M):
-            for s in layers[t]:
-                for c in range(self._amax + 1):
-                    s2 = self._step(s, c)
-                    if s2 is not None:
-                        layers[t + 1].add(s2)
-        for s in layers[self.M]:
-            self._g[self.M][s] = 1 if s[1] == 0 else 0
-        for t in range(self.M - 1, -1, -1):
-            for s in layers[t]:
-                total = 0
-                for c in range(self._amax + 1):
-                    s2 = self._step(s, c)
-                    if s2 is not None:
-                        total += self._g[t + 1].get(s2, 0)
-                self._g[t][s] = total
+    def _walk(self, word: Word) -> Optional[tuple[int, int]]:
+        """The product state after word (at most M digits), None once it leaves."""
+        state = (0, 0)
+        for c in word:
+            succ = self._succ[state]
+            if not 0 <= c < len(succ):
+                return None
+            state = succ[c]
+            if state is None:
+                return None
+        return state
 
     def _raw_contains(self, w: Word) -> bool:
         if len(w) != self.M:
             return False
-        state = (0, 0)
-        for c in w:
-            if c < 0 or c > self._amax:
-                return False
-            state = self._step(state, c)
-            if state is None:
-                return False
-        return state[1] == 0
+        state = self._walk(w)
+        return state is not None and state[1] == 0
 
     def __contains__(self, w: Word) -> bool:
         return self._raw_contains(w) and w not in self.exclude
@@ -170,14 +164,10 @@ class BlockPool:
     def count_with_prefix(self, prefix: Word) -> int:
         if len(prefix) > self.M:
             raise ValueError("prefix longer than block length")
-        state = (0, 0)
-        for c in prefix:
-            if c < 0 or c > self._amax:
-                return 0
-            state = self._step(state, c)
-            if state is None:
-                return 0
-        raw = self._g[len(prefix)].get(state, 0)
+        state = self._walk(prefix)
+        if state is None:
+            return 0
+        raw = self._g[len(prefix)][state]
         hit = sum(1 for w in self.exclude if w[: len(prefix)] == prefix)
         return raw - hit
 
@@ -195,15 +185,15 @@ class BlockPool:
         for t in range(self.M - 1, -1, -1):
             nxt = rows
             rows = {}
+            below = self._g[t + 1]
             for s, count in self._g[t].items():
                 if count == 0:
                     continue
                 cum: list[int] = []
                 choices: list[tuple[int, Optional[tuple]]] = []
                 acc = 0
-                for c in range(self._amax + 1):
-                    s2 = self._step(s, c)
-                    w = self._g[t + 1].get(s2, 0) if s2 is not None else 0
+                for c, s2 in enumerate(self._succ[s]):
+                    w = below[s2] if s2 is not None else 0
                     if w:
                         acc += w
                         cum.append(acc)
@@ -236,7 +226,7 @@ class BlockPool:
                 return word
 
     def enumerate(self, budget: int = 200_000) -> Iterator[Word]:
-        if self._g[0].get((0, 0), 0) > budget:
+        if self._g[0][(0, 0)] > budget:
             raise ConstructionError("pool too large to enumerate")
         stack = [((0, 0), ())]
         while stack:
@@ -245,9 +235,11 @@ class BlockPool:
                 if state[1] == 0 and prefix not in self.exclude:
                     yield prefix
                 continue
-            for c in range(self._amax, -1, -1):
-                s2 = self._step(state, c)
-                if s2 is not None and self._g[len(prefix) + 1].get(s2, 0) > 0:
+            below = self._g[len(prefix) + 1]
+            succ = self._succ[state]
+            for c in range(len(succ) - 1, -1, -1):
+                s2 = succ[c]
+                if s2 is not None and below[s2] > 0:
                     stack.append((s2, prefix + (c,)))
 
 
@@ -554,6 +546,8 @@ def build_levels(plan: CantorPlan, k_max: int, mode: str = "counts",
     Counts use the plan's reference seed word for the rotation exclusions;
     sampling draws the level-one block afresh per seed, matching the measure.
     """
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
     if k_max > plan.levels:
         raise ValueError("k_max exceeds the planned levels")
     pool_size = plan.pool_for(plan.seed_word).size
@@ -607,6 +601,8 @@ def sample_point(plan: CantorPlan, seed: int, depth: int) -> OrbitView:
     Deterministic per seed.  The stream is the branch word through the last
     full level, extended into the next gap's blocks when depth requires it.
     """
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
     top = plan.levels
     max_depth = plan.m_seq[top - 1] + plan.t_seq[top - 1] * plan.M
     if depth > max_depth:

@@ -234,7 +234,7 @@ def cmd_cantor(args):
         return plan.to_json_dict(), None
     if args.action == "counts":
         plan = _plan_from_args(args, ctx)
-        k = args.k or plan.levels
+        k = plan.levels if args.k is None else args.k
         levels = cantor_mod.build_levels(plan, k, mode="counts")
         result = {"levels": [
             {"k": ls.k, "count_d": str(ls.count_d), "count_g": str(ls.count_g)}
@@ -243,7 +243,12 @@ def cmd_cantor(args):
         return result, rows
     if args.action == "sample":
         plan = _plan_from_args(args, ctx)
-        depth = args.depth or plan.m_seq[min(args.k or plan.levels, plan.levels) - 1]
+        depth = args.depth
+        if depth is None:
+            k = plan.levels if args.k is None else args.k
+            if k < 1:
+                raise ValueError(f"k must be at least 1, got {k}")
+            depth = plan.m_seq[min(k, plan.levels) - 1]
         view = cantor_mod.sample_point(plan, args.seed, depth)
         digits = word_text(tuple(view.digits(depth)))
         return {"depth": depth, "digits": digits}, [(digits,)]
@@ -272,7 +277,8 @@ def cmd_dim(args):
     ctx = _context(args)
     plan = _plan_from_args(args, ctx)
     if args.action == "series":
-        report = dim_mod.local_dimension_series(plan, args.k or plan.levels)
+        report = dim_mod.local_dimension_series(
+            plan, plan.levels if args.k is None else args.k)
         rows = [(k + 1, float(v)) for k, v in enumerate(report.series_values)]
         return report.to_json_dict(), rows
     if args.action == "boxcount":

@@ -502,17 +502,24 @@ def beta_expand(x, ctx: BetaContext, n: int) -> Word:
         raise ValueError("n must be non-negative")
     if isinstance(x, BoundedReal) and not x.is_exact:
         lo, hi = orbit_digit_stream(ctx, x.lo), orbit_digit_stream(ctx, x.hi)
-        digits = []
-        for k in range(n):
-            digit = lo.next_digit()
-            if hi.next_digit() != digit:
-                raise DigitIndeterminateError(f"digit indeterminate at step {k + 1}")
-            digits.append(digit)
-        return tuple(digits)
+        lo_digits: list[int] = []
+        hi_digits: list[int] = []
+        chunk = 16  # doubles, so an early difference costs little
+        while len(lo_digits) < n:
+            start = len(lo_digits)
+            k = min(chunk, n - start)
+            lo.extend(lo_digits, k)
+            hi.extend(hi_digits, k)
+            for i in range(start, start + k):
+                if lo_digits[i] != hi_digits[i]:
+                    raise DigitIndeterminateError(f"digit indeterminate at step {i + 1}")
+            chunk *= 2
+        return tuple(lo_digits)
     if isinstance(x, BoundedReal):
         x = x.center
-    stream = orbit_digit_stream(ctx, _as_fraction(x))
-    return tuple(stream.next_digit() for _ in range(n))
+    digits: list[int] = []
+    orbit_digit_stream(ctx, _as_fraction(x)).extend(digits, n)
+    return tuple(digits)
 
 
 def _sign_minus_power(ctx: BetaContext, x, k: int, unit: int = 1) -> int:

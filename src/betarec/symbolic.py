@@ -5,7 +5,9 @@ Parry: every suffix must be at most the same-length prefix of the expansion
 of 1.  The follower automaton operationalises it.  Its state is the length of
 the longest suffix of the word read so far that is a prefix of the expansion
 of 1; a digit exceeding the next reference digit rejects, matching it
-advances, and a smaller digit falls back through KMP failure links.
+advances, and a smaller digit returns to state 0: by Parry's condition no
+shorter match survives it, so no KMP failure links are needed.  The
+reference digits are thus the automaton's whole transition table.
 
 For a simple Parry base the reference sequence is purely periodic, states are
 taken mod the period, and the automaton is finite and exact at all depths.
@@ -38,28 +40,38 @@ def lex_compare(a: Word, b: Word) -> int:
     return 0
 
 
-def _failure_links(pattern: list[int]) -> list[int]:
-    pi = [0] * len(pattern)
-    k = 0
-    for i in range(1, len(pattern)):
-        while k > 0 and pattern[i] != pattern[k]:
-            k = pi[k - 1]
-        if pattern[i] == pattern[k]:
-            k += 1
-        pi[i] = k
-    return pi
-
-
 class FollowerAutomaton:
     """Deterministic acceptor for the beta-admissible words.
 
-    States are 0..S; state s means the last s digits read equal the first s
-    reference digits (mod the period for a simple Parry base).  ``step``
-    returns the next state or None for rejection.
+    State s means that the longest suffix of the word read so far that is a
+    prefix of the reference sequence e_0 e_1 ... (the expansion of 1,
+    periodic for a simple Parry base) has length s.  As in KMP matching, the
+    transition from s on digit c is
+
+        delta(s, c) = s + 1             if c = e_s,
+                      rejection         if c > e_s,
+                      delta(b, c)       if c < e_s, with b = pi(s - 1),
+
+    and delta(0, c) = 0 for c < e_0, where pi(s - 1) is the longest proper
+    border of e_0 ... e_(s-1).  Parry's condition sigma^k(d*) <= d* says
+    that the digit after any border b of that prefix is at least the digit
+    after the prefix itself, e_b >= e_s (compare the shift by s - b with d*).
+    So for c < e_s no border extends by c, the empty one included, and the
+    fallback always ends in state 0 (the classical automaton of the
+    beta-shift).  Row s of the transition table is therefore fixed by e_s
+    alone: 0 below e_s, s + 1 at e_s, rejection above.  The reference
+    digits are the table, read once per step, and no failure links are
+    kept.
+
+    A simple Parry base with primitive period m has states 0..m-1, with
+    s + 1 taken mod m, and the automaton is exact at all depths.  Otherwise
+    the states are 0..depth, and stepping from a deeper state raises.
+    ``step`` returns the next state or None for rejection.
     """
 
     def __init__(self, ctx: BetaContext, depth: int):
         self.ctx = ctx
+        self.depth = depth
         ctx.eps_star(min(depth, 64) + 1)  # may discover termination cheaply
         if ctx.simple_parry is None:
             ctx.eps_star(depth + 1)
@@ -70,50 +82,32 @@ class FollowerAutomaton:
                 if m % p == 0 and period == period[:p] * (m // p):
                     raise AssertionError("reference period must be primitive")
             self.period = m
-            self.pattern = list(period) * 3
-            self.depth = depth
+            self.pattern = list(period)
         else:
             self.period = None
             self.pattern = list(ctx.eps_star(depth + 1))
-            self.depth = depth
-        self.pi = _failure_links(self.pattern)
-        self._table: list[list[Optional[int]]] = []
 
     @property
     def num_states(self) -> int:
-        return self.period if self.period is not None else self.depth + 1
-
-    def _step_raw(self, lifted: int, c: int) -> Optional[int]:
-        e = self.pattern[lifted]
-        if c > e:
-            return None
-        if c == e:
-            return lifted + 1
-        t = lifted
-        while t > 0 and self.pattern[t] != c:
-            t = self.pi[t - 1]
-        if self.pattern[t] == c:
-            t += 1
-        else:
-            t = 0
-        return t
+        return len(self.pattern)
 
     def step(self, state: int, c: int) -> Optional[int]:
         if c < 0:
             raise ValueError("digits are non-negative")
-        if self.period is not None:
-            t = self._step_raw(state + self.period, c)
-            return None if t is None else t % self.period
-        if state > self.depth:
+        if state >= len(self.pattern):
             raise ValueError("automaton depth exceeded; rebuild deeper")
-        return self._step_raw(state, c)
+        e = self.pattern[state]
+        if c != e:
+            return 0 if c < e else None
+        return state + 1 if self.period is None else (state + 1) % self.period
+
+    def row(self, state: int) -> list[Optional[int]]:
+        """The next state for each digit 0..amax from state, None to reject."""
+        return [self.step(state, c) for c in range(self.ctx.alphabet_max + 1)]
 
     def transition_table(self) -> list[list[Optional[int]]]:
         """Dense (state, digit) table; None entries are rejections."""
-        if not self._table:
-            self._table = [[self.step(s, c) for c in range(self.ctx.alphabet_max + 1)]
-                           for s in range(self.num_states)]
-        return self._table
+        return [self.row(s) for s in range(self.num_states)]
 
     def feed(self, word: Word, state: int = 0) -> Optional[int]:
         for c in word:
@@ -134,6 +128,12 @@ def automaton_for(ctx: BetaContext, depth: int) -> FollowerAutomaton:
     auto = FollowerAutomaton(ctx, max(depth, 64))
     ctx._follower_cache = auto
     return auto
+
+
+def _reachable_rows(ctx: BetaContext, n: int) -> list[list[Optional[int]]]:
+    """The transition rows of every state a word of length n can reach."""
+    auto = automaton_for(ctx, n)
+    return [auto.row(s) for s in range(min(auto.num_states, n + 1))]
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +174,7 @@ def count_admissible(ctx: BetaContext, n: int) -> int:
 
 def state_counts(ctx: BetaContext, n: int) -> dict[int, int]:
     """Exact count of admissible length-n words by final automaton state."""
-    auto = automaton_for(ctx, n)
-    table = auto.transition_table()
+    table = _reachable_rows(ctx, n)
     counts = {0: 1}
     for _ in range(n):
         nxt: dict[int, int] = {}
@@ -189,11 +188,12 @@ def state_counts(ctx: BetaContext, n: int) -> dict[int, int]:
 
 def enumerate_admissible(ctx: BetaContext, n: int) -> Iterator[Word]:
     """All admissible words of length n in lexicographic order, streamed."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
     if n == 0:
         yield ()
         return
-    auto = automaton_for(ctx, n)
-    table = auto.transition_table()
+    table = _reachable_rows(ctx, n)
     digits = [0] * n
     states = [0] * (n + 1)
     k = 0
@@ -290,8 +290,9 @@ def max_nonfull_run(ctx: BetaContext, n: int) -> tuple[int, int]:
     Computed by dynamic programming over (state, remaining depth) run
     summaries instead of enumerating words, so large n stay cheap.
     """
-    auto = automaton_for(ctx, n)
-    table = auto.transition_table()
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    table = _reachable_rows(ctx, n)
     # summary: (count, prefix_run, max_run, suffix_run, all_nonfull)
     memo: dict[tuple[int, int], tuple[int, int, int, int, bool]] = {}
 

@@ -473,6 +473,16 @@ class TestMeasure:
         assert abs(hits / draws - p) < 5 * sigma + 1e-9
 
 
+class TestSizes:
+    def test_depth_and_level_counts_below_one_are_rejected(self, plan25):
+        for depth in (0, -5):
+            with pytest.raises(ValueError, match=f"depth must be at least 1, got {depth}"):
+                sample_point(plan25, 0, depth)
+        for k_max in (0, -2):
+            with pytest.raises(ValueError, match=f"k_max must be at least 1, got {k_max}"):
+                build_levels(plan25, k_max)
+
+
 class TestInfeasible:
     def test_seed_word_validation(self, base25, plan25):
         with pytest.raises(ValueError):

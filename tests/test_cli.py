@@ -266,6 +266,25 @@ class TestCliContract:
             jsonschema.validate(payload, schema)
             assert captured.err == ""
 
+    def test_sizes_out_of_range_are_typed_errors(self, capsys, schema):
+        plan = ("--beta", "2.5", "--rhat", "0.2", "--r", "1", "--delta", "0.5")
+        cases = [(("enumerate", "--n", "-1"), "n must be non-negative"),
+                 (("full-scan", "--n", "-1"), "n must be non-negative"),
+                 (("cantor", "sample", *plan, "--depth", "-5"), "depth must be at least 1, got -5"),
+                 (("cantor", "sample", *plan, "--depth", "0"), "depth must be at least 1, got 0"),
+                 (("cantor", "sample", *plan, "--k", "0"), "k must be at least 1, got 0"),
+                 (("cantor", "counts", *plan, "--k", "0"), "k_max must be at least 1, got 0"),
+                 (("cantor", "counts", *plan, "--k", "-2"), "k_max must be at least 1, got -2"),
+                 (("dim", "series", *plan, "--k", "0"), "k_max out of range for this plan")]
+        for argv, message in cases:
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            assert code == 1, argv
+            payload = json.loads(captured.out)
+            assert payload == {"command": argv[0], "error": "ValueError", "message": message}
+            jsonschema.validate(payload, schema)
+            assert captured.err == ""
+
     def test_boxcount_without_points_is_a_typed_error(self, capsys, schema, recwarn):
         code = main(["dim", "boxcount", "--beta", "2.5", "--rhat", "0.2", "--r", "1",
                      "--delta", "0.9", "--points", "0"])

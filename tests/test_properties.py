@@ -5,6 +5,10 @@ definition of admissibility, and the counting recursion against the
 enumeration, on bases of every kind the automaton handles: periodic (simple
 Parry, integer) and depth-bounded (not simple Parry).
 
+The exact construction measure is additive: the masses of a prefix's
+one-digit extensions sum to the prefix's own, at every level and in the
+t_K gap blocks past the last one.
+
 The float lambda batch is checked against ``neg_log_distance`` on drawn
 digit streams: the midpoints of ``_lambda_series`` lie in the per-position
 bounds, and the gaps ``_batch_gaps`` settles are those of
@@ -18,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betarec import recurrence
+from betarec.cantor import build_plan, measure, sample_point
 from betarec.expansion import BetaContext, approximate_beta
 from betarec.recurrence import OrbitView, neg_log_distance
 from betarec.symbolic import (
@@ -119,3 +124,34 @@ def test_batched_gaps_equal_the_per_position_gaps(data):
     for n, gap in zip(ns.tolist(), recurrence._batch_gaps(view, ns).tolist()):
         if gap >= 0:
             assert recurrence._depth_from_lambda(ref, n) == (gap, False), n
+
+
+_TAIL_PLAN = {}
+
+
+def tail_plan():
+    """A four-level plan on 2.5 whose last level is followed by t_K = 468
+    gap blocks of length M = 4, built once."""
+    if not _TAIL_PLAN:
+        plan = build_plan(RETURN_BASES["2.5"], "0.2", "1", delta="0.5", K=4, seed=7)
+        reach = plan.m_seq[plan.levels - 1] + plan.t_seq[plan.levels - 1] * plan.M
+        _TAIL_PLAN.update(plan=plan, reach=reach)
+    return _TAIL_PLAN["plan"], _TAIL_PLAN["reach"]
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_measure_is_additive_over_one_digit_extensions(data):
+    plan, reach = tail_plan()
+    # segment k < K is level k + 1, [m_k, m_(k+1)) with m_0 = 0; segment K
+    # is the tail of whole gap blocks, [m_K, reach)
+    bounds = (0,) + plan.m_seq[: plan.levels] + (reach,)
+    k = data.draw(st.integers(0, plan.levels))
+    n = data.draw(st.integers(bounds[k], bounds[k + 1] - 1))
+    seed = data.draw(st.integers(0, 30))
+    w = list(sample_point(plan, seed, reach).digits(n))
+    if w and data.draw(st.booleans()):  # often leaves the construction
+        w[-1] = data.draw(st.integers(0, plan.ctx.alphabet_max))
+    w = tuple(w)
+    children = [measure(plan, w + (c,)) for c in range(plan.ctx.alphabet_max + 1)]
+    assert sum(children) == measure(plan, w), (k, n, seed)

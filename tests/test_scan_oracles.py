@@ -31,6 +31,12 @@ The digit-stream oracle is the per-digit ``next_digit`` loop that
 the exact state left behind must be equal.  The rational cylinder oracle is
 the two word sums, subtracted in Fractions, that the cached per-state tail
 replaced; the cylinders must be equal.
+
+The language oracles are the per-digit KMP walk that the follower
+automaton's transition table replaced, and the block pool that stepped both
+walks digit by digit for its counts, membership, prefix counts and
+enumeration.  Every table cell, every count and the enumeration order must
+be equal.
 """
 
 import itertools
@@ -46,7 +52,7 @@ from hypothesis import strategies as st
 
 from betarec import expansion, recurrence
 from betarec.algebraic import PRECISION_CAP_BITS, multiply_by_root
-from betarec.cantor import _power_at_least, build_plan, sample_point
+from betarec.cantor import BlockPool, _power_at_least, _rotations, build_plan, sample_point
 from betarec.expansion import (
     DEFAULT_PRECISION_BITS,
     BetaContext,
@@ -72,7 +78,13 @@ from betarec.recurrence import (
     recurrence_distance,
     z_array,
 )
-from betarec.symbolic import Cylinder, automaton_for, cylinder, enumerate_admissible
+from betarec.symbolic import (
+    Cylinder,
+    FollowerAutomaton,
+    automaton_for,
+    cylinder,
+    enumerate_admissible,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -868,6 +880,24 @@ class TestIntervalExpansion:
                     with pytest.raises(DigitIndeterminateError, match=f"step {shared + 1}$"):
                         beta_expand(x, ctx, shared + 1)
 
+    def test_long_shared_prefixes_raise_at_the_first_difference(self):
+        # endpoints 2**-k apart share about k log_beta(2) digits, so the first
+        # difference falls inside the later, doubled chunks of both extends
+        rng = random.Random(92)
+        for name in ("2.5", "golden", "x^3-x-1"):
+            ctx = element_bases()[name]
+            for k in (70, 150, 330, 700):
+                lo = Fraction(rng.getrandbits(k + 20), 1 << (k + 20))
+                hi = lo + Fraction(1, 1 << k)
+                n = 3 * k  # log_beta(2) < 2.5 on these bases
+                a, b = beta_expand(lo, ctx, n), beta_expand(hi, ctx, n)
+                first = next(i for i in range(n) if a[i] != b[i])
+                x = BoundedReal.from_endpoints(lo, hi)
+                with pytest.raises(DigitIndeterminateError) as info:
+                    beta_expand(x, ctx, n)
+                assert str(info.value) == f"digit indeterminate at step {first + 1}"
+                assert beta_expand(x, ctx, first) == a[:first]
+
 
 class TestCylinderKernels:
     shared_bases = kernel_bases()
@@ -1313,6 +1343,17 @@ class TestDigitStreams:
                 assert out == oracle_digit_stream(ref, 300)
                 assert element_state(ours) == element_state(ref)
 
+    def test_beta_expand_matches_orbit_views(self):
+        rng = random.Random(106)
+        bases = stream_bases()
+        for ctx in (bases["golden"], bases["x^3-x-1"], element_bases()["2.5"]):
+            for n in (0, 1, 31, 33, 2000):
+                x = Fraction(rng.getrandbits(64), 1 << 64)
+                view = OrbitView.from_point(ctx, x)
+                view.ensure(n)
+                assert list(beta_expand(x, ctx, n)) == view.digits(n)
+                assert list(beta_expand(BoundedReal.exact(x), ctx, n)) == view.digits(n)
+
     def test_chained_ensure_calls(self):
         rng = random.Random(105)
         for ctx in list(stream_bases().values()) + [element_bases()["2.5"]]:
@@ -1366,3 +1407,272 @@ class TestRationalCylinders:
         for w in data.draw(st.lists(admissible_words(ctx, 30), min_size=1, max_size=8)):
             assert cylinder(w, ctx, refine) == oracle_rational_cylinder(w, ctx, refine), \
                 (w, refine)
+
+
+# ---------------------------------------------------------------------------
+# the follower automaton and the block pools
+# ---------------------------------------------------------------------------
+
+
+def oracle_failure_links(pattern):
+    pi = [0] * len(pattern)
+    k = 0
+    for i in range(1, len(pattern)):
+        while k > 0 and pattern[i] != pattern[k]:
+            k = pi[k - 1]
+        if pattern[i] == pattern[k]:
+            k += 1
+        pi[i] = k
+    return pi
+
+
+class OracleFollower:
+    """The per-digit KMP walk that the transition table replaced: a digit
+    above the reference digit rejects, an equal one advances, a smaller one
+    falls back along the failure links of the (tripled, for a simple Parry
+    base) reference sequence."""
+
+    def __init__(self, ctx, depth):
+        ctx.eps_star(min(depth, 64) + 1)
+        if ctx.simple_parry is None:
+            ctx.eps_star(depth + 1)
+        period = ctx._star_period
+        self.depth = depth
+        self.period = None if period is None else len(period)
+        self.pattern = list(period) * 3 if period is not None else list(ctx.eps_star(depth + 1))
+        self.pi = oracle_failure_links(self.pattern)
+
+    def _step_raw(self, lifted, c):
+        e = self.pattern[lifted]
+        if c > e:
+            return None
+        if c == e:
+            return lifted + 1
+        t = lifted
+        while t > 0 and self.pattern[t] != c:
+            t = self.pi[t - 1]
+        return t + 1 if self.pattern[t] == c else 0
+
+    def step(self, state, c):
+        if c < 0:
+            raise ValueError("digits are non-negative")
+        if self.period is not None:
+            t = self._step_raw(state + self.period, c)
+            return None if t is None else t % self.period
+        if state > self.depth:
+            raise ValueError("automaton depth exceeded; rebuild deeper")
+        return self._step_raw(state, c)
+
+
+class OraclePool:
+    """The block pool built by stepping both KMP walks per digit: reachable
+    layers forward, completion counts backward, membership and prefix counts
+    by stepping, enumeration by depth-first search."""
+
+    def __init__(self, child, parent, M, exclude=()):
+        self.M = M
+        self.ca, self.pa = OracleFollower(child, max(M + 1, 64)), OracleFollower(parent, max(M + 1, 64))
+        self.amax = child.alphabet_max
+        layers = [{(0, 0)}]
+        for _ in range(M):
+            layers.append({s2 for s in layers[-1] for c in range(self.amax + 1)
+                           if (s2 := self._step(s, c)) is not None})
+        self.g = [dict() for _ in range(M + 1)]
+        self.g[M] = {s: int(s[1] == 0) for s in layers[M]}
+        for t in range(M - 1, -1, -1):
+            for s in layers[t]:
+                self.g[t][s] = sum(self.g[t + 1].get(self._step(s, c), 0)
+                                   for c in range(self.amax + 1) if self._step(s, c) is not None)
+        self.exclude = tuple(w for w in exclude if self.raw_contains(w))
+        self.size = self.g[0][(0, 0)] - len(self.exclude)
+
+    def _step(self, state, c):
+        sc = self.ca.step(state[0], c)
+        sp = None if sc is None else self.pa.step(state[1], c)
+        return None if sp is None else (sc, sp)
+
+    def _feed(self, word):
+        state = (0, 0)
+        for c in word:
+            if c < 0 or c > self.amax:
+                return None
+            state = self._step(state, c)
+            if state is None:
+                return None
+        return state
+
+    def raw_contains(self, w):
+        state = self._feed(w) if len(w) == self.M else None
+        return state is not None and state[1] == 0
+
+    def count_with_prefix(self, prefix):
+        state = self._feed(prefix)
+        if state is None:
+            return 0
+        return self.g[len(prefix)].get(state, 0) - sum(
+            1 for w in self.exclude if w[: len(prefix)] == prefix)
+
+    def enumerate(self):
+        stack = [((0, 0), ())]
+        while stack:
+            state, prefix = stack.pop()
+            if len(prefix) == self.M:
+                if state[1] == 0 and prefix not in self.exclude:
+                    yield prefix
+                continue
+            for c in range(self.amax, -1, -1):
+                s2 = self._step(state, c)
+                if s2 is not None and self.g[len(prefix) + 1].get(s2, 0) > 0:
+                    stack.append((s2, prefix + (c,)))
+
+
+def parent_bases():
+    """Bases of every kind: simple Parry (golden, x^3-x-1, the integers) and
+    not (1.8, 2.5, 3.7, 7/5)."""
+    bases = {"golden": BetaContext.golden(), "x^3-x-1": BetaContext.from_root(CUBIC, 1, 2)}
+    for value in ("1.8", "2", "2.5", "3", "3.7", "7/5"):
+        bases[value] = BetaContext.from_value(value)
+    return bases
+
+
+def language_bases():
+    """The parent bases, each with its truncations beta_N."""
+    bases = parent_bases()
+    for name, ctx in list(bases.items()):
+        for N in range(1, 9):
+            try:
+                bases[f"{name} at N={N}"] = approximate_beta(ctx, N)
+            except ValueError:
+                pass  # e_N = 0, or beta_N = 1: no truncation at N
+    return bases
+
+
+class TestFollowerTable:
+    def test_every_cell_matches_the_kmp_walk(self):
+        bases = language_bases()
+        assert sum(1 for ctx in bases.values() if ctx.simple_parry is None) == 4
+        for name, ctx in bases.items():
+            for depth in (1, 7, 64, 150):
+                ours, ref = FollowerAutomaton(ctx, depth), OracleFollower(ctx, depth)
+                states = ref.period if ref.period is not None else depth + 1
+                assert ours.num_states == states
+                table = ours.transition_table()
+                assert len(table) == states
+                for s in range(states):
+                    for c in range(ctx.alphabet_max + 3):
+                        assert ours.step(s, c) == ref.step(s, c), (name, depth, s, c)
+                        if c <= ctx.alphabet_max:
+                            assert table[s][c] == ref.step(s, c)
+                    with pytest.raises(ValueError, match="non-negative"):
+                        ours.step(s, -1)
+                if ref.period is None:
+                    for bad in (depth + 1, depth + 9):
+                        with pytest.raises(ValueError, match="depth exceeded"):
+                            ref.step(bad, 0)
+                        with pytest.raises(ValueError, match="depth exceeded"):
+                            ours.step(bad, 0)
+
+    def test_a_smaller_digit_always_falls_back_to_state_zero(self):
+        # Parry's condition, checked on the KMP walk itself: the table's
+        # rows need no failure links, on bases of every kind and beyond the
+        # Pisot ones (sqrt 7, x^2-5x+5) and on a base just above 1
+        bases = language_bases()
+        bases.update({"sqrt 7": BetaContext.from_root((-7, 0, 1), 2, 3),
+                      "x^2-5x+5": BetaContext.from_root((5, -5, 1), 3, 4),
+                      "10/3": BetaContext.from_value("10/3"),
+                      "41/40": BetaContext.from_value("41/40")})
+        fallbacks = 0
+        for name, ctx in bases.items():
+            ref = OracleFollower(ctx, 400)
+            for s in range(ref.period or 401):
+                e = ref.pattern[s + ref.period if ref.period else s]
+                for c in range(e):
+                    assert ref.step(s, c) == 0, (name, s, c)
+                fallbacks += e
+        assert fallbacks > 2000
+
+    def test_deep_walk_along_the_expansion_of_one(self):
+        ctx = BetaContext.from_value("2.5")
+        star = ctx.eps_star(4001)
+        ours, ref = FollowerAutomaton(ctx, 4000), OracleFollower(ctx, 4000)
+        state = 0
+        for c in star[:3000]:
+            state = ref.step(state, c)
+        assert ours.feed(star[:3000]) == state == 3000
+        assert ours.feed(star[:4000]) == 4000
+        assert ours.step(4000, star[4000]) == 4001
+        with pytest.raises(ValueError, match="depth exceeded"):
+            ours.step(4001, 0)
+
+    def test_random_walks_match_the_kmp_walk(self):
+        rng = random.Random(111)
+        for name, ctx in language_bases().items():
+            ours, ref = FollowerAutomaton(ctx, 300), OracleFollower(ctx, 300)
+            for _ in range(20):
+                # follow the reference digits with occasional drops, so walks go deep
+                word, state = [], 0
+                for _ in range(rng.randrange(1, 300)):
+                    e = ref.pattern[state % ref.period if ref.period else state]
+                    c = e if rng.random() < 0.8 else rng.randrange(ctx.alphabet_max + 2)
+                    word.append(c)
+                    state = ref.step(state, c)
+                    if state is None:
+                        break
+                assert ours.feed(tuple(word)) == state, (name, word)
+
+
+def pool_cases():
+    """(name, child, parent, M) for small pools of every kind."""
+    cases = []
+    for name, ctx in parent_bases().items():
+        for N in (2, 3, 5):
+            try:
+                child = approximate_beta(ctx, N)
+            except ValueError:
+                continue
+            for M in (2, 4, 6):
+                cases.append((f"{name} N={N} M={M}", child, ctx, M))
+        cases.append((f"{name} M=5 in itself", ctx, ctx, 5))
+    return cases
+
+
+class TestBlockPoolWalks:
+    def test_counts_membership_and_order_match_the_stepped_pool(self):
+        rng = random.Random(112)
+        checked = 0
+        for name, child, parent, M in pool_cases():
+            ref = OraclePool(child, parent, M)
+            members = list(ref.enumerate())
+            exclude = ()
+            if members:
+                u = members[rng.randrange(len(members))]
+                exclude = tuple(_rotations(u)) + ((child.alphabet_max + 1,) * M,)
+            ours, ref = BlockPool(child, parent, M, exclude), OraclePool(child, parent, M, exclude)
+            assert ours._g == ref.g, name
+            assert (ours.size, ours.exclude) == (ref.size, ref.exclude), name
+            assert list(ours.enumerate()) == list(ref.enumerate()), name
+            alphabet = range(-1, child.alphabet_max + 2)
+            for n in range(M + 1):
+                for w in itertools.product(alphabet, repeat=n):
+                    assert ours.count_with_prefix(w) == ref.count_with_prefix(w), (name, w)
+                    if n == M:
+                        assert (w in ours) == (ref.raw_contains(w) and w not in ref.exclude)
+            checked += 1
+        assert checked == 50
+
+    def test_samples_are_members_drawn_by_the_counts(self):
+        # the sampling rows read the same successor lists: every draw is a
+        # member, and a uniform draw hits each member about equally often
+        ctx = BetaContext.from_value("2.5")
+        child = approximate_beta(ctx, 2)
+        ref = OraclePool(child, ctx, 4)
+        members = list(ref.enumerate())
+        pool = BlockPool(child, ctx, 4, exclude=(members[0],))
+        rng = random.Random(113)
+        seen = {}
+        for _ in range(200 * len(members)):
+            w = pool.sample(rng)
+            assert w in pool
+            seen[w] = seen.get(w, 0) + 1
+        assert set(seen) == set(members[1:])
+        assert max(seen.values()) < 2 * min(seen.values())

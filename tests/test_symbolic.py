@@ -110,6 +110,12 @@ class TestEnumerate:
             assert all(not (a == b == 1) for a, b in zip(w, w[1:]))
         assert words == sorted(words)
 
+    def test_negative_lengths_are_rejected(self, phi):
+        for call in (count_admissible, max_nonfull_run,
+                     lambda ctx, n: list(enumerate_admissible(ctx, n))):
+            with pytest.raises(ValueError, match="n must be non-negative"):
+                call(phi, -1)
+
 
 class TestFull:
     def test_golden_singletons(self, phi):
