@@ -5,10 +5,16 @@ computation: points of the orbit are elements of Q(beta), stored as integer
 coefficient vectors over a shared denominator in the basis 1, beta, ...,
 beta^(d-1).
 
+The root is held by a ``RootBracket`` that never changes: an enclosure of
+the root at a precision of ``bits`` is the first bracket of width
+<= 2**-bits that bisection of the isolating bracket reaches, so it depends
+only on the polynomial, the isolating bracket and ``bits``, never on what
+was read before.
+
 ``floor_element`` is the one certified decision over such elements.  It
-evaluates the element on a rational bracket of the root, doubling the
-precision until the floor is certain; the only time no bracket can decide is
-when the value is exactly an integer, and that case is decided exactly by a
+evaluates the element on the root's enclosure, doubling the precision until
+the floor is certain; the only time no enclosure can decide is when the
+value is exactly an integer, and that case is decided exactly by a
 coefficient test.  Digits, signs (floor < 0) and comparisons with 1 (floor 0,
 or floor 1 with a zero remainder) all reduce to it.  Past
 ``PRECISION_CAP_BITS`` it raises ``PrecisionError``.
@@ -56,16 +62,19 @@ def multiply_by_root(vec: list[int], poly: tuple[int, ...]) -> list[int]:
 
 @dataclass
 class RootBracket:
-    """An isolating rational bracket for the unique root of poly inside it.
+    """An isolating rational bracket [lo, hi] for the unique root of poly inside it.
 
-    The bracket endpoints carry opposite signs of poly; refinement bisects,
-    so all derived enclosures shrink deterministically.
+    The endpoints carry opposite signs of poly, or are both the root, and
+    never change after construction.  ``bounds(bits)`` bisects [lo, hi] to
+    width 2**-bits; the bisection sequence is unique, so every enclosure and
+    power bound read from it is a function of bits alone.
     """
 
     poly: tuple[int, ...]
     lo: Fraction
     hi: Fraction
-    _pow_cache: dict = field(default_factory=dict, repr=False)
+    _bounds: dict = field(default_factory=dict, repr=False, compare=False)
+    _pow_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.poly[-1] != 1:
@@ -83,29 +92,38 @@ class RootBracket:
     def degree(self) -> int:
         return len(self.poly) - 1
 
-    def refine_to(self, width: Fraction) -> None:
-        if self.hi - self.lo <= width:
-            return  # the bracket stays put, and so do the cached power bounds
-        self.lo, self.hi = bisect_root_bounds(
-            lambda x: poly_eval(self.poly, x), self.lo, self.hi, width / 2)
-        self._pow_cache.clear()
+    def bounds(self, bits: int) -> tuple[Fraction, Fraction]:
+        """The first bracket of width <= 2**-bits in the bisection of [lo, hi].
+
+        Bisection resumes from the bracket of the largest memoized bits
+        below this one, which lies earlier on the same sequence.
+        """
+        cached = self._bounds.get(bits)
+        if cached is None:
+            width = Fraction(1, 1 << bits)
+            coarser = max((b for b in self._bounds if b < bits), default=None)
+            lo, hi = self._bounds.get(coarser, (self.lo, self.hi))
+            if hi - lo > width:  # else already narrow enough, or degenerate
+                lo, hi = bisect_root_bounds(
+                    lambda x: poly_eval(self.poly, x), lo, hi, width / 2)
+            cached = self._bounds[bits] = (lo, hi)
+        return cached
 
     def interval(self, bits: int) -> BoundedReal:
-        self.refine_to(Fraction(1, 1 << bits))
-        return BoundedReal.from_endpoints(self.lo, self.hi)
+        return BoundedReal.from_endpoints(*self.bounds(bits))
 
     def power_bounds(self, bits: int) -> list[tuple[int, int]]:
-        """Integer bounds [lo, hi] at scale 2**bits for root**0 .. root**(d-1).
+        """Integer bounds [lo, hi] at scale 2**bits for root**0 .. root**(d-1),
+        read from ``bounds(bits)``.
 
         Assumes the root is positive (every base here exceeds 1).
         """
         cached = self._pow_cache.get(bits)
         if cached is not None:
             return cached
-        self.refine_to(Fraction(1, 1 << bits))
+        plo, phi = self.bounds(bits)
         scale = 1 << bits
         out = [(scale, scale)]
-        plo, phi = self.lo, self.hi
         flo, fhi = Fraction(1), Fraction(1)
         for _ in range(1, self.degree):
             flo *= plo

@@ -248,7 +248,9 @@ def cmd_cantor(args):
             k = plan.levels if args.k is None else args.k
             if k < 1:
                 raise ValueError(f"k must be at least 1, got {k}")
-            depth = plan.m_seq[min(k, plan.levels) - 1]
+            if k > plan.levels:
+                raise ValueError("k_max exceeds the planned levels")
+            depth = plan.m_seq[k - 1]
         view = cantor_mod.sample_point(plan, args.seed, depth)
         digits = word_text(tuple(view.digits(depth)))
         return {"depth": depth, "digits": digits}, [(digits,)]

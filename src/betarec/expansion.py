@@ -13,6 +13,11 @@ rational base, an integer coefficient vector over a denominator for an
 algebraic one.  Digits and signs are therefore decided exactly, and a point
 supplied as an interval is expanded from its two exact endpoints.
 
+Every enclosure and float of an algebraic beta is read at the context
+precision (``RootBracket.bounds(precision_bits)``), so it depends only on
+the base and that precision.  A certified floor that needs more bits reads
+a finer enclosure of its own and changes nothing read later.
+
 Long orbit streams on an algebraic base (``extend``) are run in floats first
 and certified as they go.  The exact state x is converted to a float v with
 a bound err >= |x - v|, and then ``w = beta_f v; d = floor(w); v = w - d``
@@ -230,7 +235,7 @@ class _AlgebraicElement:
     The state 0 is fixed, so its digits are zeros with no floor taken.
     """
 
-    __slots__ = ("ctx", "root", "vec", "den", "bits", "_floats")
+    __slots__ = ("ctx", "root", "vec", "den", "bits")
 
     def __init__(self, ctx: "BetaContext", num: int, den: int):
         self.ctx = ctx
@@ -238,7 +243,6 @@ class _AlgebraicElement:
         self.vec = [num] + [0] * (self.root.degree - 1)
         self.den = den
         self.bits = ctx.precision_bits
-        self._floats: Optional[list[float]] = None
 
     def push(self, c: int) -> None:
         self.vec = multiply_by_root(self.vec, self.root.poly)
@@ -305,19 +309,17 @@ class _AlgebraicElement:
     def log2_abs(self) -> Optional[float]:
         """log2 |x| to about 50 bits, or None when x = 0 (or cancels in floats).
 
-        The coefficients' top 53 bits are combined with float powers of the
-        center of the root's 96-bit bracket, taken on the first call.
+        The coefficients' top 53 bits are combined with float powers of
+        ``BetaContext.beta_float()``.
         """
-        if self._floats is None:
-            center = float(self.root.interval(96).center)
-            self._floats = [1.0]
-            for _ in range(1, len(self.vec)):
-                self._floats.append(self._floats[-1] * center)
+        beta_f = self.ctx.beta_float()
         shift = max(c.bit_length() for c in self.vec) - 52
         total = 0.0
-        for c, pf in zip(self.vec, self._floats):
+        pf = 1.0
+        for c in self.vec:
             cf = float(c >> shift) if shift > 0 else float(c)
             total += cf * pf
+            pf *= beta_f
         if total == 0.0:
             return None
         return math.log2(abs(total)) + max(shift, 0) - _scaled_log2(self.den)
@@ -350,8 +352,12 @@ class BetaContext:
         self._cylinder_tails: dict[tuple[int, int], Fraction] = {}
         if isinstance(exact, RootBracket) and exact.degree < 2:
             raise ValueError("degree-1 bases should be constructed as rationals")
-        if self.beta_bounds(64).hi <= 1:
+        bounds = self.beta_bounds()
+        if bounds.hi <= 1:
             raise ValueError("beta must exceed 1")
+        beta_f = float(bounds.center)
+        exact_f = Fraction(beta_f)
+        self._float_view = (beta_f, 2.0 * float(max(exact_f - bounds.lo, bounds.hi - exact_f)))
         # ceil(beta) - 1 is floor(beta), unless beta is that integer exactly
         one = self._element(1)
         top = one.next_digit()
@@ -385,29 +391,30 @@ class BetaContext:
     # -- numeric views -------------------------------------------------------
 
     def beta_bounds(self, bits: Optional[int] = None) -> BoundedReal:
-        bits = bits or self.precision_bits
+        """An enclosure of beta: exact for a rational base, else the root's
+        ``bounds`` at bits or the context precision, whichever is finer."""
         if isinstance(self.exact, Fraction):
             return BoundedReal.exact(self.exact)
-        return self.exact.interval(bits)
+        return self.exact.interval(max(bits or 0, self.precision_bits))
 
     @property
     def beta_fraction(self) -> Optional[Fraction]:
         return self.exact if isinstance(self.exact, Fraction) else None
 
     def beta_float(self) -> float:
-        return float(self.beta_bounds(64).center)
+        return self._float_view[0]
 
     def beta_float_bound(self) -> tuple[float, float]:
-        """(beta_f, dbeta): ``beta_float()`` and a bound dbeta >= |beta_f - beta|,
-        twice the larger distance from beta_f to an end of the 64-bit bracket."""
-        beta_f = self.beta_float()
-        bounds, exact_f = self.beta_bounds(64), Fraction(beta_f)
-        return beta_f, 2.0 * float(max(exact_f - bounds.lo, bounds.hi - exact_f))
+        """(beta_f, dbeta): the float of the center of ``beta_bounds()`` and a
+        bound dbeta >= |beta_f - beta|, twice the larger distance from beta_f
+        to an end of that enclosure.  Both are taken once, when the context
+        is built."""
+        return self._float_view
 
     def describe(self) -> str:
         if isinstance(self.exact, Fraction):
             return str(self.exact)
-        return f"root of {self.exact.poly} near {float(self.exact.interval(64).center):.12f}"
+        return f"root of {self.exact.poly} near {self.beta_float():.12f}"
 
     # -- expansion of 1 ------------------------------------------------------
 
@@ -571,8 +578,8 @@ def word_sum_bounds(w: Word, ctx: BetaContext) -> BoundedReal:
     """Enclosure of the finite sum sum(w_i beta^-i), with no tail allowance.
 
     For an algebraic base this is Horner's rule acc = (acc + d) / beta over
-    the root bracket [p/q, P/Q], rounded outward after every digit to the
-    grid 2**-(bits + 64), bits the context precision.  It runs on the
+    the root's enclosure [p/q, P/Q] at the context precision bits, rounded
+    outward after every digit to the grid 2**-(bits + 64).  It runs on the
     integer endpoints at that scale: a step takes floor((lo + d) * r) and
     ceil((hi + d) * r), where r is the end of [Q/P, q/p] that the interval
     product picks by sign.  That replays
@@ -582,10 +589,9 @@ def word_sum_bounds(w: Word, ctx: BetaContext) -> BoundedReal:
     if isinstance(ctx.exact, Fraction):
         return BoundedReal.exact(word_value_fraction(w, ctx.exact))
     bits = ctx.precision_bits
-    root = ctx.exact
-    root.refine_to(Fraction(1, 1 << bits))
-    p, q = root.lo.numerator, root.lo.denominator
-    P, Q = root.hi.numerator, root.hi.denominator
+    beta_lo, beta_hi = ctx.exact.bounds(bits)
+    p, q = beta_lo.numerator, beta_lo.denominator
+    P, Q = beta_hi.numerator, beta_hi.denominator
     shift = bits + 64
     lo = hi = 0
     for d in reversed(w):
@@ -600,17 +606,16 @@ def word_sum_bounds(w: Word, ctx: BetaContext) -> BoundedReal:
 def beta_power_bounds(ctx: BetaContext, k: int) -> tuple[Fraction, Fraction]:
     """Endpoints (lo, hi) of an enclosure of beta**k, k any integer.
 
-    For an algebraic base they are the bracket's endpoints raised to k, so
-    (1/hi**|k|, 1/lo**|k|) when k < 0.  Callers read the one end they need.
+    For an algebraic base they are the endpoints of the root's enclosure at
+    the context precision raised to k, so (1/hi**|k|, 1/lo**|k|) when k < 0.  Callers read the one end they need.
     """
     if isinstance(ctx.exact, Fraction):
         v = ctx.exact ** k
         return v, v
-    root = ctx.exact
-    root.refine_to(Fraction(1, 1 << ctx.precision_bits))
+    lo, hi = ctx.exact.bounds(ctx.precision_bits)
     if k < 0:
-        return root.hi ** k, root.lo ** k
-    return root.lo ** k, root.hi ** k
+        return hi ** k, lo ** k
+    return lo ** k, hi ** k
 
 
 def evaluate_word(w: Word, ctx: BetaContext) -> BoundedReal:
@@ -643,7 +648,7 @@ def approximate_beta(ctx: BetaContext, N: int) -> BetaContext:
     for i, e in enumerate(prefix, start=1):
         poly[N - i] = -e
     poly = tuple(poly)
-    hi = ctx.beta_bounds(64).hi
+    hi = ctx.beta_bounds().hi
     if poly_eval(poly, hi) <= 0:
         hi = hi + 1
     # integer roots are the only rational roots a monic polynomial can have
@@ -651,9 +656,7 @@ def approximate_beta(ctx: BetaContext, N: int) -> BetaContext:
         if poly_eval(poly, Fraction(k)) == 0:
             return BetaContext(Fraction(k), ctx.precision_bits,
                                _star_period=prefix[:-1] + (prefix[-1] - 1,))
-    bracket = RootBracket(poly, Fraction(1), hi)
-    bracket.refine_to(Fraction(1, 1 << ctx.precision_bits))
-    return BetaContext(bracket, ctx.precision_bits,
+    return BetaContext(RootBracket(poly, Fraction(1), hi), ctx.precision_bits,
                        _star_period=prefix[:-1] + (prefix[-1] - 1,))
 
 

@@ -578,9 +578,11 @@ def extract_returns(view: OrbitView, K: int, monotone: bool = True,
 
     Returns an explicitly truncated profile when the return times run out,
     or a distance is censored, before K entries are certified.  Raises
-    ValueError for a search limit below 1 and for a view of fewer than two
-    digits.
+    ValueError for K or a search limit below 1 and for a view of fewer than
+    two digits.
     """
+    if K < 1:
+        raise ValueError(f"K must be at least 1, got {K}")
     if search_limit is not None and search_limit < 1:
         raise ValueError(f"search_limit must be at least 1, got {search_limit}")
     depth = view.ensure(search_limit or max(view.depth, 4096))

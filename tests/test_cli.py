@@ -273,9 +273,14 @@ class TestCliContract:
                  (("cantor", "sample", *plan, "--depth", "-5"), "depth must be at least 1, got -5"),
                  (("cantor", "sample", *plan, "--depth", "0"), "depth must be at least 1, got 0"),
                  (("cantor", "sample", *plan, "--k", "0"), "k must be at least 1, got 0"),
+                 (("cantor", "sample", *plan, "--k", "99"), "k_max exceeds the planned levels"),
                  (("cantor", "counts", *plan, "--k", "0"), "k_max must be at least 1, got 0"),
                  (("cantor", "counts", *plan, "--k", "-2"), "k_max must be at least 1, got -2"),
-                 (("dim", "series", *plan, "--k", "0"), "k_max out of range for this plan")]
+                 (("dim", "series", *plan, "--k", "0"), "k_max out of range for this plan"),
+                 (("returns", "--beta", "2.5", "--x", "0.7137", "--K", "0"),
+                  "K must be at least 1, got 0"),
+                 (("returns", "--beta", "2.5", "--x", "0.7137", "--K", "-2"),
+                  "K must be at least 1, got -2")]
         for argv, message in cases:
             code = main(list(argv))
             captured = capsys.readouterr()
