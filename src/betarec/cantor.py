@@ -497,38 +497,49 @@ def _seed_block(universe: BlockPool, rng: random.Random) -> Word:
             return u
 
 
-def _gap_filler(pool: BlockPool, rng: random.Random, t: int, q: int) -> Word:
-    """t blocks drawn from the pool, then q zeros."""
-    filler: list[int] = []
+def _gap_blocks(pool: BlockPool, rng: random.Random, t: int) -> Word:
+    """t blocks drawn from the pool."""
+    blocks: list[int] = []
     for _ in range(t):
-        filler.extend(pool.sample(rng))
-    filler.extend([0] * q)
-    return tuple(filler)
+        blocks.extend(pool.sample(rng))
+    return tuple(blocks)
 
 
-def _level_words(plan: CantorPlan, u: Word,
-                 gap: Callable[[int], Word]) -> Iterator[Word]:
+def _level_words(plan: CantorPlan, u: Word, blocks: Callable[[int, int], Word],
+                 reach: Optional[int] = None) -> Iterator[Word]:
     """The level words u_1, u_2, ... of the branch with seed block u.
 
-    ``gap(k)`` gives the filler v_k between u_(k-1) and its repeat in u_k.
-    It is called only when the caller asks for u_k, so fillers drawn from a
+    The filler v_k between u_(k-1) and its repeat in u_k is t_(k-1) gap
+    blocks, given by ``blocks(k, t_(k-1))``, then q_(k-1) zeros.  Blocks
+    are asked for only when the caller asks for u_k, so blocks drawn from a
     random generator take its draws in level order, and nothing is drawn
     past the last level the caller reads.
+
+    With ``reach``, a level whose gap blocks reach that many digits ends
+    the walk with u_(k-1) followed by only the blocks that get there,
+    ``blocks(k, b)`` for the least such b.  Since m_k >= n_k, ell_k >= 1
+    and the body u_(k-1) v_k is a prefix of u_k, so the first reach digits
+    of the last word yielded are those of u_k.
     """
     word = plan.next_level_word(plan.v1_word(u), (), 1)
     yield word
+    M = plan.M
     for k in range(2, plan.levels + 1):
-        word = plan.next_level_word(word, gap(k), k)
+        t = plan.t_seq[k - 2]
+        if reach is not None and reach - len(word) <= t * M:
+            yield word + blocks(k, -(-(reach - len(word)) // M))
+            return
+        filler = blocks(k, t) + (0,) * plan.q_seq[k - 2]
+        word = plan.next_level_word(word, filler, k)
         yield word
 
 
-def _sampled_branch(plan: CantorPlan,
-                    rng: random.Random) -> tuple[BlockPool, Iterator[Word]]:
+def _sampled_branch(plan: CantorPlan, rng: random.Random,
+                    reach: Optional[int] = None) -> tuple[BlockPool, Iterator[Word]]:
     """A branch drawn from rng: its gap pool and its lazily drawn level words."""
     u = _seed_block(plan.universe(), rng)
     pool = plan.pool_for(u)
-    return pool, _level_words(
-        plan, u, lambda k: _gap_filler(pool, rng, plan.t_seq[k - 2], plan.q_seq[k - 2]))
+    return pool, _level_words(plan, u, lambda k, t: _gap_blocks(pool, rng, t), reach)
 
 
 @dataclass
@@ -598,8 +609,12 @@ def build_levels(plan: CantorPlan, k_max: int, mode: str = "counts",
 def sample_point(plan: CantorPlan, seed: int, depth: int) -> OrbitView:
     """One point of the construction as a digit stream of the given depth.
 
-    Deterministic per seed.  The stream is the branch word through the last
-    full level, extended into the next gap's blocks when depth requires it.
+    Deterministic per seed: the first depth digits of the branch drawn from
+    ``random.Random(seed)``, extended into the blocks of the gap after the
+    last level when depth requires it.  The generator is local to the call,
+    so drawing stops at the block that reaches depth: later draws could
+    change no digit that is kept.  Depth runs from 1 to the plan reach
+    m_K + t_K M.
     """
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
@@ -608,13 +623,13 @@ def sample_point(plan: CantorPlan, seed: int, depth: int) -> OrbitView:
     if depth > max_depth:
         raise ValueError(f"depth exceeds plan reach {max_depth}")
     rng = random.Random(seed)
-    pool, words = _sampled_branch(plan, rng)
+    pool, words = _sampled_branch(plan, rng, reach=depth)
     for word in words:
         if len(word) >= depth:
             break
     if len(word) < depth:
         # whole blocks of the gap after the last level
-        word += _gap_filler(pool, rng, -(-(depth - len(word)) // plan.M), 0)
+        word += _gap_blocks(pool, rng, -(-(depth - len(word)) // plan.M))
     return OrbitView.from_digits(plan.ctx, word[:depth])
 
 
@@ -625,7 +640,9 @@ def measure(plan: CantorPlan, w: Word) -> Fraction:
     splits equally over its gap-block choices, and so do the t_K blocks
     after the last level, which ``sample_point`` draws the same way.
     Prefixes that leave the construction get mass zero; a branch prefix
-    longer than that reach, m_K + t_K M, raises ValueError.
+    longer than that reach, m_K + t_K M, raises ValueError.  The mass is
+    kept as the integer denominator d_1 size^b over the b whole blocks
+    read, and one Fraction is made at the end.
     """
     n = len(w)
     if n == 0:
@@ -642,13 +659,13 @@ def measure(plan: CantorPlan, w: Word) -> Fraction:
     if all(d == 0 for d in u) or not universe._raw_contains(u):
         return Fraction(0)
     pool = plan.pool_for(u)
-    mass = Fraction(1, d1)
-    # each gap v_(k+1) = w[m_k : n_(k+1)] is read only once the loop below
-    # has checked its blocks and zeros, which all lie inside w
-    words = _level_words(plan, u, lambda k: w[plan.m_seq[k - 2] : plan.n_seq[k - 1]])
+    den = d1
+    # the blocks of each gap v_(k+1), from w[m_k], are read only once the
+    # loop below has checked them and the zeros after them, all inside w
+    words = _level_words(plan, u, lambda k, t: w[plan.m_seq[k - 2] : plan.m_seq[k - 2] + t * M])
     for k, word in enumerate(words, start=1):
         if n <= len(word):
-            return mass if w == word[:n] else Fraction(0)
+            return Fraction(1, den) if w == word[:n] else Fraction(0)
         if w[: len(word)] != word:
             return Fraction(0)
         gap_start = len(word)
@@ -661,12 +678,12 @@ def measure(plan: CantorPlan, w: Word) -> Fraction:
             if n < hi:
                 # remaining blocks marginalise out; only the partial one counts
                 cnt = pool.count_with_prefix(w[lo:n])
-                return mass * Fraction(max(cnt, 0), pool.size)
+                return Fraction(max(cnt, 0), den * pool.size)
             if w[lo:hi] not in pool:
                 return Fraction(0)
-            mass /= pool.size
+            den *= pool.size
         zeros_hi = zeros_lo + plan.q_seq[k - 1]
         if any(d != 0 for d in w[zeros_lo : min(n, zeros_hi)]):
             return Fraction(0)
         if n < zeros_hi or k == plan.levels:
-            return mass
+            return Fraction(1, den)

@@ -284,9 +284,14 @@ def cmd_dim(args):
         rows = [(k + 1, float(v)) for k, v in enumerate(report.series_values)]
         return report.to_json_dict(), rows
     if args.action == "boxcount":
+        lo, hi = args.n_lo, args.n_hi
+        if lo > hi:
+            raise ValueError(f"depth range --n-lo {lo} .. --n-hi {hi} is empty")
+        if args.points < 1:
+            raise ValueError(f"points must be at least 1, got {args.points}: "
+                             "the point set is empty")
         pts = [cantor_mod.sample_point(plan, args.seed + 1 + i, args.depth)
                for i in range(args.points)]
-        lo, hi = args.n_lo, args.n_hi
         res = dim_mod.boxcount(pts, ctx, range(lo, hi + 1), seed=args.seed)
         rows = [(n, c, round(math.log(c), 9))
                 for n, c in zip(res.n_range, res.counts)]

@@ -343,7 +343,7 @@ class BetaContext:
         _star_period: Optional[Word] = None,
     ):
         self.exact = exact
-        self.precision_bits = max(64, precision_bits)
+        self._precision_bits = max(64, precision_bits)
         self._one_digits: list[int] = []
         self._one_stream = None
         self._one_terminated: Optional[int] = None
@@ -396,6 +396,13 @@ class BetaContext:
         if isinstance(self.exact, Fraction):
             return BoundedReal.exact(self.exact)
         return self.exact.interval(max(bits or 0, self.precision_bits))
+
+    @property
+    def precision_bits(self) -> int:
+        """The working precision, fixed when the context is built: the float
+        view of beta is taken at it then, and enclosures read it on each
+        call, so it is read-only.  Build a new context for another one."""
+        return self._precision_bits
 
     @property
     def beta_fraction(self) -> Optional[Fraction]:

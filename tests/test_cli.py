@@ -302,6 +302,25 @@ class TestCliContract:
         assert captured.err == ""
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    def test_boxcount_edge_cases_are_typed_errors(self, capsys, schema, recwarn):
+        base = ("dim", "boxcount", "--beta", "2.5", "--rhat", "0.2", "--r", "1",
+                "--delta", "0.9", "--points", "20")
+        cases = [(("--n-lo", "8", "--n-hi", "8"),
+                  "n_range needs at least two distinct depths, got [8]"),
+                 (("--n-lo", "5", "--n-hi", "2"), "depth range --n-lo 5 .. --n-hi 2 is empty"),
+                 (("--n-lo", "0", "--n-hi", "4"), "depths must be at least 1, got 0"),
+                 (("--points", "-3"),
+                  "points must be at least 1, got -3: the point set is empty")]
+        for extra, message in cases:
+            code = main([*base, *extra])
+            captured = capsys.readouterr()
+            assert code == 1, extra
+            payload = json.loads(captured.out)
+            assert payload == {"command": "dim", "error": "ValueError", "message": message}
+            jsonschema.validate(payload, schema)
+            assert captured.err == ""
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_bad_precision_env_exits_two_without_traceback(self, capsys, monkeypatch):
         monkeypatch.setenv("BETAREC_PRECISION_BITS", "abc")
         with pytest.raises(SystemExit) as exc:

@@ -4,13 +4,22 @@ precision.
 Reads at a finer precision (an explicit ``beta_bounds(400)``, power bounds
 at 1,024 bits, a certified sign that escalates past 600 bits) must leave
 every later cylinder, word sum, power enclosure, recurrence distance and
-float of beta equal to a fresh context's.  The pins fix the floats of beta
-and a digest of the golden cylinders that acceptance criterion 4 checks.
+float of beta equal to a fresh context's, and the precision itself cannot
+be reassigned.  The pins fix the floats of beta, a digest of the golden
+cylinders that acceptance criterion 4 checks, criterion 10's box counts and
+the README's ``dim boxcount`` envelope.
 """
 
 import hashlib
+import random
+import shlex
 from fractions import Fraction
 
+import pytest
+
+from betarec.cantor import build_plan, sample_point
+from betarec.cli import main
+from betarec.dimension import boxcount
 from betarec.expansion import (
     BetaContext,
     approximate_beta,
@@ -65,6 +74,15 @@ def test_finer_reads_change_no_later_result():
         assert snapshot(disturbed) == snapshot(fresh), disturbed.describe()
 
 
+def test_precision_is_read_only():
+    # the float view of beta is taken at the precision the context is built with
+    for ctx in algebraic_bases() + [BetaContext.from_value("2.5", precision_bits=10)]:
+        bits = ctx.precision_bits
+        with pytest.raises(AttributeError):
+            ctx.precision_bits = 300
+        assert ctx.precision_bits == bits >= 64
+
+
 def criterion_4_golden_cylinders(ctx, interleave):
     """Criterion 4's golden pass: cylinders at refine 40 on the words of the
     N = 3 truncation, optionally with its ``beta_bounds(256)`` reads."""
@@ -115,3 +133,37 @@ def test_criterion_4_golden_cylinder_digest():
         for v in (c.left.lo, c.left.hi, c.length.lo, c.length.hi):
             h.update(f"{v.numerator}/{v.denominator};".encode())
     assert h.hexdigest() == CRITERION_4_DIGEST
+
+
+# recorded before the box counts were taken from sorted prefix ranks, the
+# sampler stopped at the block reaching its depth and measure made one Fraction
+BOXCOUNT_PINS = {
+    "uniform": ("0x1.ff61181df1df4p-1", ("0x1.fc5aaceb77b11p-1", "0x1.fec0eea68778bp-1"),
+                [4, 8, 16, 32, 64, 128, 254]),
+    "construction": ("0x1.43eb2e6576903p-2", ("0x1.40ca30eb4417ap-2", "0x1.41e6a93fc2746p-2"),
+                     [11] * 10 + [33, 73, 105, 314, 687, 986]),
+}
+README_BOXCOUNT_DIGEST = "c8d2c972805437ad7eed319cac06f96c0c4821b75b82f0e3525a4c942ee14cf5"
+
+
+def test_criterion_10_boxcount_pins():
+    ctx2 = BetaContext.from_value(2)
+    rng = random.Random(4)
+    uniform = [OrbitView.from_digits(ctx2, [rng.randint(0, 1) for _ in range(40)])
+               for _ in range(1500)]
+    ctx = BetaContext.from_value("2.5")
+    plan = build_plan(ctx, "0.2", "1", delta="0.9", K=4, seed=2)
+    samples = [sample_point(plan, 100 + i, 60) for i in range(4000)]
+    got = {}
+    for name, res in (("uniform", boxcount(uniform, ctx2, range(2, 9), bootstrap=60, seed=2)),
+                      ("construction", boxcount(samples, ctx, range(3, 19), bootstrap=60,
+                                                seed=3))):
+        got[name] = (res.slope.hex(), tuple(v.hex() for v in res.ci), res.counts)
+    assert got == BOXCOUNT_PINS
+
+
+def test_readme_boxcount_envelope_digest(capsys):
+    argv = shlex.split("dim boxcount --beta 2.5 --rhat 0.2 --r 1 --delta 0.9 --points 2000")
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == README_BOXCOUNT_DIGEST

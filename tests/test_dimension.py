@@ -124,3 +124,23 @@ class TestBoxcount:
     def test_empty_point_set(self):
         with pytest.raises(ValueError, match="point set is empty"):
             boxcount([], BetaContext.from_value(2), range(2, 9))
+
+    def test_range_and_bootstrap_checks(self):
+        ctx = BetaContext.from_value(2)
+        pts = [OrbitView.from_digits(ctx, [1, 0] * 5)]
+        with pytest.raises(ValueError, match=r"two distinct depths, got \[4\]"):
+            boxcount(pts, ctx, [4, 4])
+        with pytest.raises(ValueError, match=r"two distinct depths, got \[\]"):
+            boxcount(pts, ctx, range(5, 3))
+        with pytest.raises(ValueError, match="depths must be at least 1, got 0"):
+            boxcount(pts, ctx, range(0, 4))
+        with pytest.raises(ValueError, match="bootstrap must be non-negative, got -1"):
+            boxcount(pts, ctx, range(2, 5), bootstrap=-1)
+
+    def test_any_iterable_of_views(self):
+        ctx = BetaContext.from_value(2)
+        rows = [[1, 0, 1, 1, 0, 0], [1, 1, 0, 0, 0, 0], [0, 1, 0, 1, 0, 1]]
+        listed = boxcount([OrbitView.from_digits(ctx, r) for r in rows], ctx, range(1, 7))
+        drawn = boxcount((OrbitView.from_digits(ctx, r) for r in rows), ctx, iter(range(1, 7)))
+        assert drawn == listed
+        assert listed.counts == [2, 3, 3, 3, 3, 3]

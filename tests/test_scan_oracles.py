@@ -37,6 +37,12 @@ automaton's transition table replaced, and the block pool that stepped both
 walks digit by digit for its counts, membership, prefix counts and
 enumeration.  Every table cell, every count and the enumeration order must
 be equal.
+
+The construction oracles are the sampler that drew every gap of each level
+it reached in full and then cut the branch to its depth, the measure that
+divided one Fraction by the pool size per gap block, and the box count that
+built a set of prefix tuples per depth and per bootstrap resample.  Digits,
+masses (and their strings), slopes, intervals and counts must be equal.
 """
 
 import itertools
@@ -52,7 +58,16 @@ from hypothesis import strategies as st
 
 from betarec import expansion, recurrence
 from betarec.algebraic import PRECISION_CAP_BITS, multiply_by_root
-from betarec.cantor import BlockPool, _power_at_least, _rotations, build_plan, sample_point
+from betarec.cantor import (
+    BlockPool,
+    _power_at_least,
+    _rotations,
+    _seed_block,
+    build_plan,
+    measure,
+    sample_point,
+)
+from betarec.dimension import BoxCount, boxcount
 from betarec.expansion import (
     DEFAULT_PRECISION_BITS,
     BetaContext,
@@ -779,9 +794,11 @@ BITS_GRID = (None, 64, 100, 192, 300)
 
 
 def at_bits(ctx, bits):
-    """ctx with its working precision set to bits (None: the default)."""
-    ctx.precision_bits = bits or DEFAULT_PRECISION_BITS
-    return ctx
+    """A fresh context for ctx's base at working precision bits (None: the
+    default), sharing its root bracket; the constructor clamps bits to at
+    least 64."""
+    return BetaContext(ctx.exact, bits or DEFAULT_PRECISION_BITS,
+                       _star_period=ctx._star_period)
 
 
 def kernel_bases():
@@ -923,7 +940,7 @@ class TestCylinderKernels:
         ctx = data.draw(st.sampled_from(self.shared_bases))
         digits = st.integers(-2, ctx.alphabet_max + 1)
         w = tuple(data.draw(st.lists(digits, max_size=64)))
-        at_bits(ctx, data.draw(st.sampled_from(BITS_GRID)))
+        ctx = at_bits(ctx, data.draw(st.sampled_from(BITS_GRID)))
         assert word_sum_bounds(w, ctx) == oracle_word_sum_bounds(w, ctx)
 
     def test_rational_base(self):
@@ -1659,3 +1676,247 @@ class TestBlockPoolWalks:
             seen[w] = seen.get(w, 0) + 1
         assert set(seen) == set(members[1:])
         assert max(seen.values()) < 2 * min(seen.values())
+
+
+# ---------------------------------------------------------------------------
+# construction oracles: branch sampling, exact measure, box counting
+# ---------------------------------------------------------------------------
+
+
+def oracle_level_words(plan, u, gap):
+    """The level words of a branch, each gap filler v_k given whole by gap(k)."""
+    word = plan.next_level_word(plan.v1_word(u), (), 1)
+    yield word
+    for k in range(2, plan.levels + 1):
+        word = plan.next_level_word(word, gap(k), k)
+        yield word
+
+
+def oracle_gap_filler(pool, rng, t, q):
+    filler = []
+    for _ in range(t):
+        filler.extend(pool.sample(rng))
+    return tuple(filler) + (0,) * q
+
+
+def oracle_sample_point(plan, seed, depth):
+    """The digits of a point: every gap of each level it reaches drawn in
+    full, the last level extended by whole blocks, then cut to depth."""
+    rng = random.Random(seed)
+    u = _seed_block(plan.universe(), rng)
+    pool = plan.pool_for(u)
+    words = oracle_level_words(plan, u, lambda k: oracle_gap_filler(
+        pool, rng, plan.t_seq[k - 2], plan.q_seq[k - 2]))
+    for word in words:
+        if len(word) >= depth:
+            break
+    if len(word) < depth:
+        word += oracle_gap_filler(pool, rng, -(-(depth - len(word)) // plan.M), 0)
+    return list(word[:depth])
+
+
+def oracle_measure(plan, w):
+    """The mass of w's cylinder with one Fraction division per gap block."""
+    n = len(w)
+    if n == 0:
+        return Fraction(1)
+    M = plan.M
+    universe = plan.universe()
+    d1 = plan.d1_size()
+    if n < M:
+        cnt = universe.count_with_prefix(w)
+        if all(d == 0 for d in w):
+            cnt -= 1
+        return Fraction(max(cnt, 0), d1)
+    u = w[:M]
+    if all(d == 0 for d in u) or not universe._raw_contains(u):
+        return Fraction(0)
+    pool = plan.pool_for(u)
+    mass = Fraction(1, d1)
+    words = oracle_level_words(plan, u, lambda k: w[plan.m_seq[k - 2] : plan.n_seq[k - 1]])
+    for k, word in enumerate(words, start=1):
+        if n <= len(word):
+            return mass if w == word[:n] else Fraction(0)
+        if w[: len(word)] != word:
+            return Fraction(0)
+        gap_start = len(word)
+        zeros_lo = gap_start + plan.t_seq[k - 1] * M
+        if k == plan.levels and n > zeros_lo:
+            raise ValueError(f"prefix extends beyond the plan reach {zeros_lo}")
+        for b in range(plan.t_seq[k - 1]):
+            lo = gap_start + b * M
+            hi = lo + M
+            if n < hi:
+                cnt = pool.count_with_prefix(w[lo:n])
+                return mass * Fraction(max(cnt, 0), pool.size)
+            if w[lo:hi] not in pool:
+                return Fraction(0)
+            mass /= pool.size
+        zeros_hi = zeros_lo + plan.q_seq[k - 1]
+        if any(d != 0 for d in w[zeros_lo : min(n, zeros_hi)]):
+            return Fraction(0)
+        if n < zeros_hi or k == plan.levels:
+            return mass
+
+
+def oracle_boxcount(points, ctx, n_range, bootstrap=200, seed=0):
+    """Box counts from a set of prefix tuples per depth and per resample."""
+    n_range = sorted(set(int(n) for n in n_range))
+    need = n_range[-1]
+    prefixes = [tuple(v.digits(need)) for v in points]
+    log_beta = math.log(ctx.beta_float())
+    xs = np.array([n * log_beta for n in n_range])
+
+    def slope_of(sample):
+        counts = [len({p[:n] for p in sample}) for n in n_range]
+        ys = np.log(np.array(counts, dtype=float))
+        a = np.vstack([xs, np.ones_like(xs)]).T
+        coef, *_ = np.linalg.lstsq(a, ys, rcond=None)
+        return float(coef[0]), counts
+
+    slope, counts = slope_of(prefixes)
+    rng = np.random.default_rng(seed)
+    boots = []
+    for _ in range(bootstrap):
+        idx = rng.integers(0, len(prefixes), size=len(prefixes))
+        boots.append(slope_of([prefixes[i] for i in idx])[0])
+    lo, hi = (float(np.percentile(boots, 2.5)),
+              float(np.percentile(boots, 97.5))) if boots else (slope, slope)
+    return BoxCount(slope=slope, ci=(lo, hi), counts=counts, n_range=tuple(n_range))
+
+
+def construction_plans():
+    """Plans on a rational base, the golden base and a base below 1.5.
+
+    Between them they have paddings of zeros and of body digits, gaps with
+    and without a zero tail, and one to three repeats per level."""
+    return {"2.5": build_plan(BetaContext.from_value("2.5"), "0.2", "1", delta="0.9",
+                              K=4, seed=2),
+            "golden": build_plan(BetaContext.golden(), "0.2", "1", delta="0.5", K=3, seed=11),
+            "7/5": build_plan(BetaContext.from_value("7/5"), "1/4", "2", delta="0.5",
+                              K=3, seed=1)}
+
+
+def landmark_depths(plan):
+    """Depths at level ends, inside the level-one seed, a padding, a gap and
+    its zero tail, and in the blocks past the last level, up to the reach."""
+    M = plan.M
+    out = {1, M - 1, M, M + 1}
+    for k in range(plan.levels):
+        m_k, repeats = plan.m_seq[k], plan.ell_seq[k] * plan.n_seq[k]
+        blocks_end = m_k + plan.t_seq[k] * M
+        out |= {m_k - 1, m_k, m_k + 1, repeats, repeats + 1, (repeats + m_k) // 2,
+                m_k + M - 1, m_k + M, m_k + M + 1, (m_k + blocks_end) // 2,
+                blocks_end - 1, blocks_end, blocks_end + 1,
+                blocks_end + plan.q_seq[k] - 1}
+    top = plan.levels - 1
+    reach = plan.m_seq[top] + plan.t_seq[top] * M
+    return sorted(d for d in out if 1 <= d <= reach)
+
+
+class TestConstructionKernels:
+    plans = construction_plans()
+
+    def test_plans_cover_every_region(self):
+        for name, plan in self.plans.items():
+            assert plan.levels >= 3, name
+        assert any(q for plan in self.plans.values() for q in plan.q_seq)
+        assert any(not q for plan in self.plans.values() for q in plan.q_seq)
+        assert any(ell > 1 for plan in self.plans.values() for ell in plan.ell_seq)
+        assert any(p > plan.N for plan in self.plans.values() for p in plan.p_seq)
+
+    @settings(max_examples=120)
+    @given(st.data())
+    def test_sample_point_matches_the_full_branch(self, data):
+        name = data.draw(st.sampled_from(sorted(self.plans)))
+        plan = self.plans[name]
+        seed = data.draw(st.integers(0, 10**6))
+        depth = data.draw(st.sampled_from(landmark_depths(plan)))
+        view = sample_point(plan, seed, depth)
+        assert view.digits(depth) == oracle_sample_point(plan, seed, depth), (name, depth)
+        assert view.depth == depth
+
+    def test_drawing_stops_at_the_block_that_reaches_the_depth(self, monkeypatch):
+        draws = []
+        inner = BlockPool.sample
+        monkeypatch.setattr(BlockPool, "sample",
+                            lambda pool, rng: draws.append(pool) or inner(pool, rng))
+
+        def gap_draws(plan, depth):
+            # whole gaps below depth, then the blocks of the gap it ends in
+            total = 0
+            for k in range(plan.levels):
+                start, t = plan.m_seq[k], plan.t_seq[k]
+                if depth <= start:
+                    break
+                total += min(t, -(-(depth - start) // plan.M))
+                if depth <= start + t * plan.M:
+                    break
+            return total
+
+        for name, plan in self.plans.items():
+            for depth in landmark_depths(plan):
+                draws.clear()
+                sample_point(plan, 7, depth)
+                seeds = sum(pool is plan.universe() for pool in draws)
+                assert len(draws) - seeds == gap_draws(plan, depth), (name, depth)
+        # the dimension plan at depth 60: u_2 ends at 52 and M = 3, so after
+        # the seed block a point draws t_1 = 5 blocks and 3 of v_3's 25
+        assert gap_draws(self.plans["2.5"], 60) == 8
+
+    @settings(max_examples=120)
+    @given(st.data())
+    def test_measure_matches_per_block_fractions(self, data):
+        name = data.draw(st.sampled_from(sorted(self.plans)))
+        plan = self.plans[name]
+        depths = landmark_depths(plan)
+        depth = data.draw(st.sampled_from(depths))
+        w = oracle_sample_point(plan, data.draw(st.integers(0, 10**6)), depth)
+        if data.draw(st.booleans()):
+            # a changed digit, anywhere: it may leave the construction
+            i = data.draw(st.integers(0, depth - 1))
+            w[i] = data.draw(st.integers(0, plan.ctx.alphabet_max))
+        if depth == depths[-1] and data.draw(st.booleans()):
+            w.append(0)  # one digit past the reach
+        w = tuple(w)
+        ours, ref = outcome(lambda: measure(plan, w)), outcome(lambda: oracle_measure(plan, w))
+        assert ours == ref, (name, depth)
+        assert str(ours) == str(ref)
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_boxcount_matches_the_prefix_sets(self, data):
+        ctx = data.draw(st.sampled_from((BetaContext.from_value("2.5"),
+                                         BetaContext.from_value(200))))
+        width = data.draw(st.integers(2, 20))
+        digit = st.integers(0, ctx.alphabet_max)
+        # a few distinct rows, repeated: duplicate points and shared prefixes
+        rows = data.draw(st.lists(st.lists(digit, min_size=width, max_size=width),
+                                  min_size=1, max_size=8))
+        picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=60))
+        points = [rows[i] for i in picks]
+        n_range = data.draw(st.lists(st.integers(1, width), min_size=2, max_size=12)
+                            .filter(lambda ns: len(set(ns)) >= 2))
+        bootstrap = data.draw(st.sampled_from((0, 1, 7)))
+        seed = data.draw(st.integers(0, 1000))
+        views = (OrbitView.from_digits(ctx, p) for p in points)
+        ours = boxcount(views, ctx, n_range, bootstrap=bootstrap, seed=seed)
+        ref = oracle_boxcount([OrbitView.from_digits(ctx, p) for p in points], ctx, n_range,
+                              bootstrap=bootstrap, seed=seed)
+        assert ours == ref
+        assert ours.ci == ref.ci and ours.counts == ref.counts
+
+    def test_boxcount_on_sampled_points_and_a_wide_alphabet(self):
+        plan = self.plans["golden"]
+        views = [sample_point(plan, s, 70) for s in range(300)]
+        views += views[:40]  # duplicates
+        n_range = [12, 3, 40, 3, 70, 25]
+        assert boxcount(views, plan.ctx, n_range, bootstrap=20, seed=5) == \
+            oracle_boxcount(views, plan.ctx, n_range, bootstrap=20, seed=5)
+        ctx = BetaContext.from_value(300)  # alphabet_max 299: the int64 digit arrays
+        rng = random.Random(121)
+        views = [OrbitView.from_digits(ctx, [rng.choice((0, 150, 299)) for _ in range(9)])
+                 for _ in range(500)]
+        assert views[0]._digit_array().dtype == np.int64
+        assert boxcount(views, ctx, range(1, 10), bootstrap=10, seed=1) == \
+            oracle_boxcount(views, ctx, range(1, 10), bootstrap=10, seed=1)
