@@ -32,9 +32,7 @@ from .recurrence import (
     estimate_r,
     estimate_r_hat,
     extract_returns,
-    near_periodic_family,
     recurrence_distance,
-    word_indices,
 )
 from .cantor import (
     CantorPlan,
@@ -68,8 +66,8 @@ __all__ = [
     "enumerate_admissible", "full_window_check", "is_admissible", "is_full",
     "lex_compare",
     "OrbitView", "PrefixForm", "ReturnProfile", "classify_prefix",
-    "estimate_r", "estimate_r_hat", "extract_returns", "near_periodic_family",
-    "recurrence_distance", "word_indices",
+    "estimate_r", "estimate_r_hat", "extract_returns",
+    "recurrence_distance",
     "CantorPlan", "LevelSet", "build_levels", "build_plan", "choose_N_M",
     "m_set", "measure", "pad", "plan_sequences", "sample_point",
     "DimReport", "boxcount", "dim_prescribed", "dim_uniform",

@@ -11,6 +11,16 @@ scale sequences n_k < m_k < n_(k+1).  Levels, exact counts, the natural
 product-like probability measure on branches, and seeded point sampling all
 derive from the plan.  The sampler's law is exactly that measure, so Monte
 Carlo estimates are testable against the exact rational values.
+
+A branch is u_K and t_K gap blocks: u_1 = v_1^(ell_1) pad_1 with v_1 =
+u^(n_1 div M) 0^(n_1 mod M), and u_k = (u_(k-1) v_k)^(ell_k) pad_k with v_k
+the t_(k-1) gap blocks and q_(k-1) zeros.  ``CantorPlan.layout`` lays that
+rule out once, as segments given by the position each ends at: the seed
+block u; copy runs, each digit repeating the one ``shift`` places back (M
+in u's repeats, n_k in level k); zero runs (level k's last min(p_k, N)
+digits, the n_1 mod M after u's repeats, each gap's q_k tail); and runs of
+gap-block slots, t_k of them from m_k, the last ending at ``plan.reach``.
+Sampling, level words and the exact measure all read that one table.
 """
 
 from __future__ import annotations
@@ -20,6 +30,8 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Callable, Iterator, Optional
 
 from .expansion import BetaContext, Word, _sign_minus_power, approximate_beta
@@ -86,12 +98,8 @@ def plan_sequences(r_hat, r, K: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def _rotations(u: Word) -> list[Word]:
-    out = []
-    M = len(u)
-    for i in range(1, M + 1):
-        out.append(u[M - i:] + u[:M - i])
-    return list(dict.fromkeys(out))
+def _rotations(u: Word) -> tuple[Word, ...]:
+    return tuple(dict.fromkeys(u[-i:] + u[:-i] for i in range(1, len(u) + 1)))
 
 
 class BlockPool:
@@ -107,10 +115,9 @@ class BlockPool:
     counts, the sampling rows, and enumeration.
     """
 
-    # the sampling table's first row and the exclusions as a set, both made
-    # by _build_table on the first draw (choose_N_M builds pools it never samples)
+    # the sampling table's first row, made by _build_table on the first draw
+    # (choose_N_M builds pools it never samples)
     _root: Optional[tuple] = None
-    _excluded: Optional[frozenset] = None
 
     def __init__(self, child: BetaContext, parent: BetaContext, M: int,
                  exclude: tuple[Word, ...] = ()):
@@ -138,6 +145,7 @@ class BlockPool:
             self._g[t] = {s: sum(below[u] for u in self._succ[s] if u is not None)
                           for s in layers[t]}
         self.exclude = tuple(w for w in exclude if self._raw_contains(w))
+        self._excluded = frozenset(self.exclude)
         self.size = self._g[0][(0, 0)] - len(self.exclude)
 
     def _walk(self, word: Word) -> Optional[tuple[int, int]]:
@@ -159,7 +167,7 @@ class BlockPool:
         return state is not None and state[1] == 0
 
     def __contains__(self, w: Word) -> bool:
-        return self._raw_contains(w) and w not in self.exclude
+        return self._raw_contains(w) and w not in self._excluded
 
     def count_with_prefix(self, prefix: Word) -> int:
         if len(prefix) > self.M:
@@ -168,7 +176,7 @@ class BlockPool:
         if state is None:
             return 0
         raw = self._g[len(prefix)][state]
-        hit = sum(1 for w in self.exclude if w[: len(prefix)] == prefix)
+        hit = sum(1 for w in self._excluded if w[: len(prefix)] == prefix)
         return raw - hit
 
     def _build_table(self) -> None:
@@ -200,12 +208,11 @@ class BlockPool:
                         choices.append((c, nxt.get(s2)))
                 rows[s] = (acc, acc.bit_length(), cum, choices)
         self._root = rows.get((0, 0))
-        self._excluded = frozenset(self.exclude)
 
     def sample(self, rng: random.Random) -> Word:
         if self.size <= 0:
             raise ConstructionError("construction infeasible at this (N, M)")
-        if self._excluded is None:
+        if self._root is None:
             self._build_table()
         # randrange(total) inlined: CPython draws getrandbits(k), k the bit
         # length of total, until the value falls below total, so the values
@@ -232,7 +239,7 @@ class BlockPool:
         while stack:
             state, prefix = stack.pop()
             if len(prefix) == self.M:
-                if state[1] == 0 and prefix not in self.exclude:
+                if state[1] == 0 and prefix not in self._excluded:
                     yield prefix
                 continue
             below = self._g[len(prefix) + 1]
@@ -254,9 +261,9 @@ def m_set(trunc_ctx: BetaContext, parent_ctx: BetaContext, u: Word,
     universe = BlockPool(trunc_ctx, parent_ctx, M)
     if not universe._raw_contains(u):
         raise ValueError("seed word must be a full admissible block")
-    if all(d == 0 for d in u):
+    if not any(u):
         raise ValueError("seed word must not be the zero block")
-    pool = BlockPool(trunc_ctx, parent_ctx, M, exclude=tuple(_rotations(u)))
+    pool = BlockPool(trunc_ctx, parent_ctx, M, exclude=_rotations(u))
     if pool.size <= 0:
         raise ConstructionError("construction infeasible at this (N, M)")
     return set(pool.enumerate(budget))
@@ -332,6 +339,10 @@ def choose_N_M(ctx: BetaContext, delta, m_cap: int = 64,
 # ---------------------------------------------------------------------------
 
 
+# the kinds of segment in a plan's branch layout
+_SEED, _COPY, _ZERO, _SLOTS = "seed", "copy", "zero", "slots"
+
+
 def pad(w: Word, p: int, N: int) -> Word:
     """The length-p padding word: zeros, or a word prefix sealed by N zeros.
 
@@ -371,22 +382,34 @@ class CantorPlan:
     p_seq: tuple[int, ...] = field(init=False)
     t_seq: tuple[int, ...] = field(init=False)
     q_seq: tuple[int, ...] = field(init=False)
+    layout: tuple[tuple[int, str, int], ...] = field(init=False, repr=False)
     _universe: Optional[BlockPool] = field(default=None, repr=False)
     _pools: dict[Word, BlockPool] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        ell, p, t, q = [], [], [], []
-        for nk, mk in zip(self.n_seq, self.m_seq):
-            ell.append(mk // nk)
-            p.append(mk % nk)
-        for k in range(len(self.n_seq) - 1):
-            tk, qk = divmod(self.n_seq[k + 1] - self.m_seq[k], self.M)
-            t.append(tk)
-            q.append(qk)
-        self.ell_seq = tuple(ell)
-        self.p_seq = tuple(p)
-        self.t_seq = tuple(t)
-        self.q_seq = tuple(q)
+        splits = [divmod(m, n) for n, m in zip(self.n_seq, self.m_seq)]
+        self.ell_seq = tuple(ell for ell, _ in splits)
+        self.p_seq = tuple(p for _, p in splits)
+        gaps = [divmod(n - m, self.M) for m, n in zip(self.m_seq, self.n_seq[1:])]
+        self.t_seq = tuple(t for t, _ in gaps)
+        self.q_seq = tuple(q for _, q in gaps)
+        # the branch layout, one (end, kind, shift) per segment; see the
+        # module docstring.  Copy runs start where their shift does (at M and
+        # at each n_k); past the last gap's blocks the plan has no zero tail.
+        # Empty segments are dropped and adjacent zero runs merged.
+        M, reps = self.M, self.n_seq[0] // self.M
+        segments = [(M, _SEED, 0), (reps * M, _COPY, M), (self.n_seq[0], _ZERO, 0)]
+        for k in range(self.levels):
+            m = self.m_seq[k]
+            segments += [(m - min(self.p_seq[k], self.N), _COPY, self.n_seq[k]), (m, _ZERO, 0),
+                         (m + self.t_seq[k] * M, _SLOTS, 0), (self.n_seq[k + 1], _ZERO, 0)]
+        layout = segments[:1]
+        for seg in segments[1:-1]:
+            if seg[0] > layout[-1][0]:
+                if seg[1] is _ZERO and layout[-1][1] is _ZERO:
+                    layout.pop()
+                layout.append(seg)
+        self.layout = tuple(layout)
 
     @property
     def levels(self) -> int:
@@ -400,7 +423,7 @@ class CantorPlan:
     def pool_for(self, u: Word) -> BlockPool:
         if u not in self._pools:
             self._pools[u] = BlockPool(self.trunc_ctx, self.ctx, self.M,
-                                       exclude=tuple(_rotations(u)))
+                                       exclude=_rotations(u))
         return self._pools[u]
 
     def universe_size(self) -> int:
@@ -409,14 +432,11 @@ class CantorPlan:
     def d1_size(self) -> int:
         return self.universe_size() - 1
 
-    def v1_word(self, u: Word) -> Word:
-        reps = self.n_seq[0] // self.M
-        return u * reps + (0,) * (self.n_seq[0] - reps * self.M)
-
-    def next_level_word(self, prev: Word, filler: Word, k: int) -> Word:
-        """u_k from u_(k-1) and the gap filler v_k (1-based level k)."""
-        body = prev + filler
-        return body * self.ell_seq[k - 1] + pad(body, self.p_seq[k - 1], self.N)
+    @property
+    def reach(self) -> int:
+        """The length of a branch, m_K + t_K M: its last digit closes the
+        t_K gap blocks after the last level."""
+        return self.layout[-1][0]
 
     def to_json_dict(self) -> dict:
         return {
@@ -474,7 +494,7 @@ def build_plan(ctx: BetaContext, r_hat, r, delta="0.1", K: int = 6,
     n_seq = tuple(v + offset for v in n_cut)
     m_seq = tuple(v + offset for v in m_cut)
     u = _seed_block(choice.universe, random.Random(seed))
-    pool = BlockPool(tctx, ctx, M, exclude=tuple(_rotations(u)))
+    pool = BlockPool(tctx, ctx, M, exclude=_rotations(u))
     if pool.size <= 0:
         raise ConstructionError("construction infeasible at this (N, M)")
     bound_ok = _power_at_least(Fraction(pool.size), ctx, M * (1 - delta))
@@ -497,49 +517,52 @@ def _seed_block(universe: BlockPool, rng: random.Random) -> Word:
             return u
 
 
-def _gap_blocks(pool: BlockPool, rng: random.Random, t: int) -> Word:
-    """t blocks drawn from the pool."""
-    blocks: list[int] = []
-    for _ in range(t):
-        blocks.extend(pool.sample(rng))
-    return tuple(blocks)
+def _grow(plan: CantorPlan, word: Word, length: int,
+          blocks: Optional[Callable[[int], Word]]) -> Word:
+    """The branch prefix word, ending where a segment does, grown to length.
 
-
-def _level_words(plan: CantorPlan, u: Word, blocks: Callable[[int, int], Word],
-                 reach: Optional[int] = None) -> Iterator[Word]:
-    """The level words u_1, u_2, ... of the branch with seed block u.
-
-    The filler v_k between u_(k-1) and its repeat in u_k is t_(k-1) gap
-    blocks, given by ``blocks(k, t_(k-1))``, then q_(k-1) zeros.  Blocks
-    are asked for only when the caller asks for u_k, so blocks drawn from a
-    random generator take its draws in level order, and nothing is drawn
-    past the last level the caller reads.
-
-    With ``reach``, a level whose gap blocks reach that many digits ends
-    the walk with u_(k-1) followed by only the blocks that get there,
-    ``blocks(k, b)`` for the least such b.  Since m_k >= n_k, ell_k >= 1
-    and the body u_(k-1) v_k is a prefix of u_k, so the first reach digits
-    of the last word yielded are those of u_k.
+    Copy and zero runs are written up to length; a run of gap-block slots
+    is filled by one ``blocks(b)`` call, b the least number of its blocks
+    that gets there, so the result may run up to M - 1 digits past length.
+    Zeros and blocks gather in a tail that joins the word before a copy run
+    reads it, so a level costs about three copies of the word.
     """
-    word = plan.next_level_word(plan.v1_word(u), (), 1)
-    yield word
-    M = plan.M
-    for k in range(2, plan.levels + 1):
-        t = plan.t_seq[k - 2]
-        if reach is not None and reach - len(word) <= t * M:
-            yield word + blocks(k, -(-(reach - len(word)) // M))
-            return
-        filler = blocks(k, t) + (0,) * plan.q_seq[k - 2]
-        word = plan.next_level_word(word, filler, k)
-        yield word
+    start = len(word)
+    tail: Word = ()
+    for end, kind, shift in plan.layout:
+        if start >= length:
+            break
+        if end <= start:
+            continue
+        stop = min(end, length)
+        if kind is _COPY:
+            # a copy run starts at its shift: the word so far, repeated
+            word += tail
+            tail = ()
+            reps, rest = divmod(stop, shift)
+            word = word * reps + word[:rest]
+        elif kind is _ZERO:
+            tail += (0,) * (stop - start)
+        else:
+            tail += blocks(-(-(stop - start) // plan.M))
+        start = len(word) + len(tail)
+    return word + tail
 
 
-def _sampled_branch(plan: CantorPlan, rng: random.Random,
-                    reach: Optional[int] = None) -> tuple[BlockPool, Iterator[Word]]:
-    """A branch drawn from rng: its gap pool and its lazily drawn level words."""
+def _sampled_prefix(plan: CantorPlan, seed: int, length: int) -> Word:
+    """The branch drawn from ``random.Random(seed)``, grown to length: the
+    seed block, then its pool's gap blocks up to the one that reaches length."""
+    rng = random.Random(seed)
     u = _seed_block(plan.universe(), rng)
-    pool = plan.pool_for(u)
-    return pool, _level_words(plan, u, lambda k, t: _gap_blocks(pool, rng, t), reach)
+    sample = plan.pool_for(u).sample
+
+    def blocks(b: int) -> Word:
+        digits: list[int] = []
+        for _ in range(b):
+            digits.extend(sample(rng))
+        return tuple(digits)
+
+    return _grow(plan, u, length, blocks)
 
 
 @dataclass
@@ -562,43 +585,32 @@ def build_levels(plan: CantorPlan, k_max: int, mode: str = "counts",
     if k_max > plan.levels:
         raise ValueError("k_max exceeds the planned levels")
     pool_size = plan.pool_for(plan.seed_word).size
-    counts_d = [plan.d1_size()]
-    for k in range(2, k_max + 1):
-        counts_d.append(pool_size ** plan.t_seq[k - 2])
-    counts_g = []
-    acc = 1
-    for c in counts_d:
-        acc *= c
-        counts_g.append(acc)
+    counts_d = [plan.d1_size()] + [pool_size ** t for t in plan.t_seq[: k_max - 1]]
+    counts_g = list(accumulate(counts_d, mul))
     if mode == "counts":
         return [LevelSet(k + 1, counts_d[k], counts_g[k]) for k in range(k_max)]
     if mode == "sample":
-        _, words = _sampled_branch(plan, random.Random(seed))
-        return [LevelSet(k, counts_d[k - 1], counts_g[k - 1], [word])
-                for k, word in zip(range(1, k_max + 1), words)]
+        word = _sampled_prefix(plan, seed, plan.m_seq[k_max - 1])
+        return [LevelSet(k, counts_d[k - 1], counts_g[k - 1], [word[: plan.m_seq[k - 1]]])
+                for k in range(1, k_max + 1)]
     if mode == "exhaustive":
-        universe = plan.universe()
-        branches: list[tuple[Word, Word]] = []  # (u, word)
-        for u in universe.enumerate(budget):
-            if all(d == 0 for d in u):
-                continue
-            branches.append((u, plan.next_level_word(plan.v1_word(u), (), 1)))
+        branches: list[tuple[Word, Word]] = [  # (u, word)
+            (u, _grow(plan, u, plan.m_seq[0], None))
+            for u in plan.universe().enumerate(budget) if any(u)]
         out = [LevelSet(1, counts_d[0], counts_g[0], [w for _, w in branches])]
         if len(branches) != counts_g[0]:
             raise AssertionError("level-one count mismatch")
         for k in range(2, k_max + 1):
             nxt: list[tuple[Word, Word]] = []
             for u, word in branches:
-                pool = plan.pool_for(u)
-                blocks = list(pool.enumerate(budget))
+                blocks = list(plan.pool_for(u).enumerate(budget))
                 fillers: list[Word] = [()]
                 for _ in range(plan.t_seq[k - 2]):
                     fillers = [f + b for f in fillers for b in blocks]
                     if len(fillers) * len(branches) > budget:
                         raise ConstructionError("exhaustive level exceeds budget")
-                tail = (0,) * plan.q_seq[k - 2]
                 for f in fillers:
-                    nxt.append((u, plan.next_level_word(word, f + tail, k)))
+                    nxt.append((u, _grow(plan, word, plan.m_seq[k - 1], lambda b, f=f: f)))
             branches = nxt
             out.append(LevelSet(k, counts_d[k - 1], len(branches),
                                 [w for _, w in branches]))
@@ -610,80 +622,67 @@ def sample_point(plan: CantorPlan, seed: int, depth: int) -> OrbitView:
     """One point of the construction as a digit stream of the given depth.
 
     Deterministic per seed: the first depth digits of the branch drawn from
-    ``random.Random(seed)``, extended into the blocks of the gap after the
-    last level when depth requires it.  The generator is local to the call,
-    so drawing stops at the block that reaches depth: later draws could
-    change no digit that is kept.  Depth runs from 1 to the plan reach
-    m_K + t_K M.
+    ``random.Random(seed)``, grown along the plan's layout.  The generator
+    is local to the call, so drawing stops at the gap block that reaches
+    depth: later draws could change no digit that is kept.  Depth runs from
+    1 to ``plan.reach``.
     """
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
-    top = plan.levels
-    max_depth = plan.m_seq[top - 1] + plan.t_seq[top - 1] * plan.M
-    if depth > max_depth:
-        raise ValueError(f"depth exceeds plan reach {max_depth}")
-    rng = random.Random(seed)
-    pool, words = _sampled_branch(plan, rng, reach=depth)
-    for word in words:
-        if len(word) >= depth:
-            break
-    if len(word) < depth:
-        # whole blocks of the gap after the last level
-        word += _gap_blocks(pool, rng, -(-(depth - len(word)) // plan.M))
-    return OrbitView.from_digits(plan.ctx, word[:depth])
+    if depth > plan.reach:
+        raise ValueError(f"depth exceeds plan reach {plan.reach}")
+    return OrbitView.from_digits(plan.ctx, _sampled_prefix(plan, seed, depth)[:depth])
 
 
 def measure(plan: CantorPlan, w: Word) -> Fraction:
     """Exact mass of the cylinder of w under the construction measure.
 
-    Level one splits mass equally over the branch seeds; each deeper level
-    splits equally over its gap-block choices, and so do the t_K blocks
-    after the last level, which ``sample_point`` draws the same way.
-    Prefixes that leave the construction get mass zero; a branch prefix
-    longer than that reach, m_K + t_K M, raises ValueError.  The mass is
-    kept as the integer denominator d_1 size^b over the b whole blocks
-    read, and one Fraction is made at the end.
+    Level one splits mass equally over the branch seeds, and each gap block,
+    the t_K past the last level included, over the seed's pool.  Past the
+    seed block, w is read along the plan's layout: a copy run is one slice
+    comparison with w itself, a zero run one ``any``, a whole gap block a
+    pool membership test and a partial one a prefix count.  Prefixes that
+    leave the construction get mass zero; a branch prefix longer than
+    ``plan.reach`` raises ValueError.  The mass is the integer denominator
+    d_1 size^b over the b whole blocks read, made one Fraction at the end.
     """
+    w = tuple(w)
     n = len(w)
     if n == 0:
         return Fraction(1)
     M = plan.M
     universe = plan.universe()
-    d1 = plan.d1_size()
+    den = plan.d1_size()
     if n < M:
         cnt = universe.count_with_prefix(w)
-        if all(d == 0 for d in w):
+        if not any(w):
             cnt -= 1  # the zero block is not a valid seed
-        return Fraction(max(cnt, 0), d1)
+        return Fraction(max(cnt, 0), den)
     u = w[:M]
-    if all(d == 0 for d in u) or not universe._raw_contains(u):
+    if not any(u) or not universe._raw_contains(u):
         return Fraction(0)
     pool = plan.pool_for(u)
-    den = d1
-    # the blocks of each gap v_(k+1), from w[m_k], are read only once the
-    # loop below has checked them and the zeros after them, all inside w
-    words = _level_words(plan, u, lambda k, t: w[plan.m_seq[k - 2] : plan.m_seq[k - 2] + t * M])
-    for k, word in enumerate(words, start=1):
-        if n <= len(word):
-            return Fraction(1, den) if w == word[:n] else Fraction(0)
-        if w[: len(word)] != word:
-            return Fraction(0)
-        gap_start = len(word)
-        zeros_lo = gap_start + plan.t_seq[k - 1] * M
-        if k == plan.levels and n > zeros_lo:
-            raise ValueError(f"prefix extends beyond the plan reach {zeros_lo}")
-        for b in range(plan.t_seq[k - 1]):
-            lo = gap_start + b * M
-            hi = lo + M
-            if n < hi:
-                # remaining blocks marginalise out; only the partial one counts
-                cnt = pool.count_with_prefix(w[lo:n])
-                return Fraction(max(cnt, 0), den * pool.size)
-            if w[lo:hi] not in pool:
+    start = M
+    for end, kind, shift in plan.layout[1:]:
+        if n <= start:
+            break
+        stop = min(n, end)
+        if kind is _COPY:
+            if w[start:stop] != w[start - shift : stop - shift]:
                 return Fraction(0)
-            den *= pool.size
-        zeros_hi = zeros_lo + plan.q_seq[k - 1]
-        if any(d != 0 for d in w[zeros_lo : min(n, zeros_hi)]):
-            return Fraction(0)
-        if n < zeros_hi or k == plan.levels:
-            return Fraction(1, den)
+        elif kind is _ZERO:
+            if any(w[start:stop]):
+                return Fraction(0)
+        else:
+            if end == plan.reach and n > end:
+                raise ValueError(f"prefix extends beyond the plan reach {end}")
+            for lo in range(start, stop - M + 1, M):
+                if w[lo : lo + M] not in pool:
+                    return Fraction(0)
+                den *= pool.size
+            lo = stop - (stop - start) % M
+            if lo < stop:
+                # the rest of the run marginalises out; only the partial block counts
+                return Fraction(pool.count_with_prefix(w[lo:stop]), den * pool.size)
+        start = end
+    return Fraction(1, den)

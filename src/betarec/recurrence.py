@@ -23,7 +23,6 @@ import numpy as np
 
 from .expansion import (
     BetaContext,
-    Word,
     _sign_minus_power,
     beta_power_bounds,
     orbit_digit_stream,
@@ -793,99 +792,3 @@ def estimate_r_hat(view: OrbitView, n_max: int) -> ExponentEstimate:
     """
     return _estimate(view, n_max, lambda lam, ns: (
         np.maximum.accumulate(lam)[ns[0] - 1:] / ns).min())
-
-
-# ---------------------------------------------------------------------------
-# word indices and the near-periodic families
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WordIndices:
-    """Return positions s_k inside a finite word, their block ends t_k, and
-    the count k of positions strictly inside the word."""
-
-    s_seq: tuple[int, ...]
-    t_seq: tuple[int, ...]
-    k: int
-
-
-def word_indices(w: Word) -> WordIndices:
-    """Positions where the first digit recurs inside w, with maximal blocks.
-
-    s_1 is the first i < n with w_(i+1) = w_1 (n when none exists); each
-    next s is the first such position strictly beyond the previous one.  For
-    s_k < n, t_k ends the longest block starting at s_k+1 that copies the
-    prefix.  k counts the s_k strictly inside the word.
-    """
-    n = len(w)
-    if n < 1:
-        raise ValueError("word must be non-empty")
-    s_seq: list[int] = []
-    t_seq: list[int] = []
-    z = z_array(list(w))
-    prev = 0
-    while True:
-        s = next((i for i in range(prev + 1, n) if w[i] == w[0]), n)
-        s_seq.append(s)
-        if s == n:
-            break
-        t_seq.append(s + int(z[s]))
-        prev = s
-    return WordIndices(tuple(s_seq), tuple(t_seq), len(t_seq))
-
-
-def _perturbations(w: Word, r_floor: int, ctx: BetaContext) -> set[Word]:
-    """One application of the prefix-perturbation step to w."""
-    from .symbolic import is_admissible
-
-    n = len(w)
-    idx = word_indices(w)
-    bfloor = ctx.alphabet_max + (1 if isinstance(ctx.exact, Fraction)
-                                 and ctx.exact.denominator == 1 else 0)
-    star = ctx.eps_star(r_floor * n + 1)
-    out: set[Word] = {w}
-    if idx.k == 0:
-        anchors = [(0, w[0])] if n else []
-    else:
-        anchors = [(t, w[t]) for t in idx.t_seq if t < n]
-    for a in range(1, r_floor + 2):
-        base = w * a
-        for t, d in anchors:
-            head = w[:t]
-            for jj in range(0, r_floor * n + 1):
-                if d > 0:
-                    out.add(base + head + (d - 1,) + star[:jj])
-                if d < bfloor:
-                    out.add(base + head + (min(d + 1, ctx.alphabet_max),) + (0,) * jj)
-    return {v for v in out if is_admissible(v, ctx)}
-
-
-def near_periodic_family(w: Word, r, levels: int, ctx: BetaContext,
-                         budget: int = 50_000) -> set[Word]:
-    """Members of the recursive perturbation families M_1(w) .. M_levels(w).
-
-    These finite families of admissible words exhaust the possible prefixes
-    of expansions whose returns overlap too strongly (the countable regime);
-    each level applies the perturbation step to all previous members and
-    injects the next plain repetition of w.
-    """
-    from .symbolic import is_admissible
-
-    if levels < 1 or levels > 3:
-        raise ValueError("levels must be within 1..3")
-    r_floor = int(math.floor(r))
-    current = _perturbations(w, r_floor, ctx)
-    if is_admissible(w * 2, ctx):
-        current.add(w * 2)
-    for level in range(2, levels + 1):
-        nxt: set[Word] = set()
-        for v in current:
-            nxt |= _perturbations(v, r_floor, ctx)
-            if len(nxt) > budget:
-                raise RuntimeError("perturbation family exceeds budget")
-        rep = w * (level + 1)
-        if is_admissible(rep, ctx):
-            nxt.add(rep)
-        current |= nxt
-    return current

@@ -389,7 +389,8 @@ class TestMeasureTail:
     @staticmethod
     def branch(plan):
         m_K = plan.m_seq[plan.levels - 1]
-        reach = m_K + plan.t_seq[plan.levels - 1] * plan.M
+        reach = plan.reach
+        assert reach == m_K + plan.t_seq[plan.levels - 1] * plan.M
         w = tuple(sample_point(plan, 0, reach).digits(reach))
         return w, m_K, reach, plan.pool_for(w[: plan.M])
 
@@ -415,6 +416,18 @@ class TestMeasureTail:
         assert reach == 3126
         with pytest.raises(ValueError, match="plan reach 3126"):
             measure(plan4, w + (0,))
+        with pytest.raises(ValueError, match="depth exceeds plan reach 3126"):
+            sample_point(plan4, 0, reach + 1)
+
+    def test_leaving_in_level_one_past_the_reach_is_null(self, plan4):
+        # the prefix leaves the branch before its length matters
+        w, _, _, _ = self.branch(plan4)
+        amax = plan4.ctx.alphabet_max
+        # a repeat of the seed block, and the last digit of u_1
+        for i in (plan4.M, plan4.m_seq[0] - 1):
+            left = list(w) + [0]
+            left[i] = (left[i] + 1) % (amax + 1)
+            assert measure(plan4, tuple(left)) == 0, i
 
 
 class TestMeasure:
@@ -446,6 +459,12 @@ class TestMeasure:
             w = w2[:n]
             children = sum(measure(plan25, w + (c,)) for c in range(amax + 1))
             assert children == measure(plan25, w)
+
+    def test_digit_lists_read_as_words(self, plan25):
+        # a view's digits come as a list; the mass is that of the same tuple
+        v = sample_point(plan25, 6, plan25.n_seq[1] + 3)
+        for n in (plan25.M - 1, plan25.M, plan25.m_seq[0] + 2, plan25.n_seq[1] + 3):
+            assert measure(plan25, v.digits(n)) == measure(plan25, tuple(v.digits(n))) > 0
 
     def test_non_branch_prefix_is_null(self, plan25):
         levels = build_levels(plan25, 2, mode="sample", seed=4)

@@ -6,8 +6,9 @@ at 1,024 bits, a certified sign that escalates past 600 bits) must leave
 every later cylinder, word sum, power enclosure, recurrence distance and
 float of beta equal to a fresh context's, and the precision itself cannot
 be reassigned.  The pins fix the floats of beta, a digest of the golden
-cylinders that acceptance criterion 4 checks, criterion 10's box counts and
-the README's ``dim boxcount`` envelope.
+cylinders that acceptance criterion 4 checks, criterion 10's box counts,
+a point of criterion 6's plan past its last level, and the README's
+``dim boxcount``, ``cantor sample`` and ``cantor measure`` envelopes.
 """
 
 import hashlib
@@ -167,3 +168,29 @@ def test_readme_boxcount_envelope_digest(capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == README_BOXCOUNT_DIGEST
+
+
+# recorded before the plan's segment layout replaced the level-word walk
+DEEP_POINT_DIGEST = "f4409685a24419a0429c748aaacb7491721484e24977c5ccd23e35dfce1c29f5"
+README_CANTOR_DIGESTS = {
+    "cantor sample --beta 2.5 --rhat 0.2 --r 1 --delta 0.5 --depth 200":
+        "7351e20f806c5c1fc327f317a0147fe73e93e89fecc756a3b1cbd6ee2a97f29c",
+    "cantor measure --beta 2.5 --rhat 0.2 --r 1 --delta 0.5 --prefix 2,1":
+        "3f57581492f23e9b7ab21e47d04c822743855fd6d357b6c08cc3d7a2754b87eb",
+}
+
+
+def test_criterion_6_point_past_the_last_level():
+    plan = build_plan(BetaContext.from_value("2.5"), 0, Fraction(1, 2), delta="0.5",
+                      K=6, seed=23)
+    depth = plan.m_seq[5] + 200
+    assert plan.m_seq[5] < depth == 1_235_519 < plan.reach
+    digits = sample_point(plan, 400, depth).digits(depth)
+    assert hashlib.sha256(bytes(digits)).hexdigest() == DEEP_POINT_DIGEST
+
+
+@pytest.mark.parametrize("command", sorted(README_CANTOR_DIGESTS))
+def test_readme_cantor_envelope_digests(command, capsys):
+    assert main(shlex.split(command)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == README_CANTOR_DIGESTS[command]

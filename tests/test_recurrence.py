@@ -16,11 +16,9 @@ from betarec.recurrence import (
     estimate_r,
     estimate_r_hat,
     extract_returns,
-    near_periodic_family,
     neg_log_distance,
     recurrence_distance,
     verify_bracketing,
-    word_indices,
     z_array,
 )
 
@@ -210,45 +208,6 @@ class TestEstimates:
             if estimate_r_hat(v, 500).value <= 0.08:
                 small += 1
         assert small >= 10
-
-
-class TestWordIndices:
-    def test_no_recurrence(self):
-        idx = word_indices((1, 0, 0))
-        assert idx.s_seq == (3,)
-        assert idx.k == 0
-
-    def test_immediate_recurrence(self):
-        idx = word_indices((1, 1, 0))
-        assert idx.s_seq[0] == 1
-        assert idx.t_seq[0] == 2
-        assert idx.k >= 1
-
-    def test_constant_word(self):
-        idx = word_indices((0, 0, 0))
-        assert idx.s_seq[0] == 1
-        assert idx.t_seq[0] == 3
-        assert idx.k == 2
-
-
-class TestNearPeriodicFamily:
-    def test_base_two_example(self, two):
-        fam = near_periodic_family((1,), 1, 1, two)
-        assert (1, 0) in fam
-        assert (1, 1, 0) in fam
-        assert (1, 1) in fam  # the injected repetition
-
-    def test_contains_repetitions(self, two):
-        fam = near_periodic_family((1, 0), 1, 2, two)
-        assert (1, 0) in fam
-        assert (1, 0, 1, 0) in fam
-        assert (1, 0, 1, 0, 1, 0) in fam
-
-    def test_all_admissible(self):
-        phi = BetaContext.golden()
-        from betarec.symbolic import is_admissible
-        fam = near_periodic_family((1, 0), 1, 2, phi)
-        assert all(is_admissible(w, phi) for w in fam)
 
 
 def test_estimates_on_short_fixed_stream(two):

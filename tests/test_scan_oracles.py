@@ -38,11 +38,13 @@ walks digit by digit for its counts, membership, prefix counts and
 enumeration.  Every table cell, every count and the enumeration order must
 be equal.
 
-The construction oracles are the sampler that drew every gap of each level
-it reached in full and then cut the branch to its depth, the measure that
-divided one Fraction by the pool size per gap block, and the box count that
-built a set of prefix tuples per depth and per bootstrap resample.  Digits,
-masses (and their strings), slopes, intervals and counts must be equal.
+The construction oracles are the level words built by the definition
+u_k = (u_(k-1) v_k)^(ell_k) pad_k that the plan's segment layout replaced,
+the sampler that drew every gap of each level it reached in full and then
+cut the branch to its depth, the measure that divided one Fraction by the
+pool size per gap block, and the box count that built a set of prefix
+tuples per depth and per bootstrap resample.  Level words, digits, masses
+(and their strings), slopes, intervals and counts must be equal.
 """
 
 import itertools
@@ -63,8 +65,10 @@ from betarec.cantor import (
     _power_at_least,
     _rotations,
     _seed_block,
+    build_levels,
     build_plan,
     measure,
+    pad,
     sample_point,
 )
 from betarec.dimension import BoxCount, boxcount
@@ -1684,11 +1688,16 @@ class TestBlockPoolWalks:
 
 
 def oracle_level_words(plan, u, gap):
-    """The level words of a branch, each gap filler v_k given whole by gap(k)."""
-    word = plan.next_level_word(plan.v1_word(u), (), 1)
-    yield word
-    for k in range(2, plan.levels + 1):
-        word = plan.next_level_word(word, gap(k), k)
+    """The level words of a branch, each gap filler v_k given whole by gap(k).
+
+    v_1 = u^(n_1 div M) 0^(n_1 mod M), and u_k = (u_(k-1) v_k)^(ell_k) pad_k,
+    with u_0 empty and pad_k the padding word of length p_k of that body."""
+    reps = plan.n_seq[0] // plan.M
+    body = u * reps + (0,) * (plan.n_seq[0] - reps * plan.M)
+    for k in range(1, plan.levels + 1):
+        if k > 1:
+            body = word + gap(k)
+        word = body * plan.ell_seq[k - 1] + pad(body, plan.p_seq[k - 1], plan.N)
         yield word
 
 
@@ -1863,6 +1872,28 @@ class TestConstructionKernels:
         # the dimension plan at depth 60: u_2 ends at 52 and M = 3, so after
         # the seed block a point draws t_1 = 5 blocks and 3 of v_3's 25
         assert gap_draws(self.plans["2.5"], 60) == 8
+
+    def test_exhaustive_level_two_matches_the_definition(self):
+        # k = 2 words of every seed block and every gap filler, in the
+        # enumeration order of the universe and then of the seed's pool
+        cases = {"2.5": (BetaContext.from_value("2.5"), "1/3", 105),
+                 "golden": (BetaContext.golden(), "0.2", 6552),
+                 "7/5": (BetaContext.from_value("7/5"), "1/3", 10448)}
+        for name, (ctx, r_hat, count) in cases.items():
+            plan = build_plan(ctx, r_hat, "1", delta="0.9", K=3, seed=0)
+            ref = []
+            for u in plan.universe().enumerate():
+                if not any(u):
+                    continue
+                fillers = [()]
+                for _ in range(plan.t_seq[0]):
+                    fillers = [f + b for f in fillers for b in plan.pool_for(u).enumerate()]
+                for f in fillers:
+                    words = oracle_level_words(plan, u, lambda k: f + (0,) * plan.q_seq[0])
+                    next(words)
+                    ref.append(next(words))
+            assert len(ref) == count, name
+            assert build_levels(plan, 2, mode="exhaustive")[1].words == ref, name
 
     @settings(max_examples=120)
     @given(st.data())
