@@ -29,6 +29,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
@@ -100,6 +101,13 @@ def plan_sequences(r_hat, r, K: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def _rotations(u: Word) -> tuple[Word, ...]:
     return tuple(dict.fromkeys(u[-i:] + u[:-i] for i in range(1, len(u) + 1)))
+
+
+# sampling rows whose draws have at most this many bits look their choice
+# up in a list of 2^bits entries; wider rows bisect
+_LOOKUP_BITS = 8
+# where a sampling walk ends on an excluded block (a walk that is not ends on None)
+_EXCLUDED = ()
 
 
 class BlockPool:
@@ -180,57 +188,61 @@ class BlockPool:
         return raw - hit
 
     def _build_table(self) -> None:
-        """One row per (position, product state) with completions left.
+        """One row per (position, product state) with completions left, and
+        one per proper prefix of an excluded word.
 
-        A row is (total, bit length of total, cumulative weights, choices)
-        over the digits whose completion count is non-zero, each choice a
-        (digit, successor row) pair, so a draw below ``total`` selects its
-        choice by bisection and walks straight to the next row.  Zero-weight
-        digits can never be selected, so dropping them changes no draw's
-        outcome.
+        A row is (total, bit length k of total, lookup, cumulative weights,
+        choices) over the digits whose completion count is non-zero, each
+        choice a (digit, next row) pair.  A draw r = getrandbits(k) below
+        ``total`` selects its choice and walks straight to the next row.
+        Where k is at most ``_LOOKUP_BITS``, lookup is the list of the 2^k
+        choices indexed by r, None from ``total`` on (draw again), and the
+        row keeps no cumulative weights or choices; wider rows have lookup
+        None and find their choice by bisection of the cumulative weights.
+        Zero-weight digits can never be selected, so dropping them changes
+        no draw's outcome.
+
+        A prefix row weighs its digits as its state's row does, but leads
+        on to the next prefix row while the digits read still begin an
+        excluded word, and to ``_EXCLUDED`` when they complete one; so a
+        walk knows at its last digit whether the block is excluded.
         """
-        rows: dict[tuple[int, int], tuple] = {}
+        # the proper prefixes of the excluded words, by length, with their states
+        prefixes: list[dict[Word, tuple[int, int]]] = [{} for _ in range(self.M)]
+        for w in self.exclude:
+            state = (0, 0)
+            for t, c in enumerate(w):
+                prefixes[t][w[:t]] = state
+                state = self._succ[state][c]
+        rows: dict = {}  # position t + 1's rows, by state; empty past the last digit
+        prefix_rows: dict = dict.fromkeys(self.exclude, _EXCLUDED)
         for t in range(self.M - 1, -1, -1):
-            nxt = rows
-            rows = {}
             below = self._g[t + 1]
-            for s, count in self._g[t].items():
-                if count == 0:
-                    continue
-                cum: list[int] = []
-                choices: list[tuple[int, Optional[tuple]]] = []
-                acc = 0
-                for c, s2 in enumerate(self._succ[s]):
-                    w = below[s2] if s2 is not None else 0
-                    if w:
-                        acc += w
-                        cum.append(acc)
-                        choices.append((c, nxt.get(s2)))
-                rows[s] = (acc, acc.bit_length(), cum, choices)
-        self._root = rows.get((0, 0))
+            steps = {s: [(c, s2, below[s2]) for c, s2 in enumerate(self._succ[s])
+                         if s2 is not None and below[s2]]
+                     for s, count in self._g[t].items() if count}
+            new_rows = {s: _sampling_row([((c, rows.get(s2)), w) for c, s2, w in st])
+                        for s, st in steps.items()}
+            prefix_rows = {
+                p: _sampling_row([((c, prefix_rows.get(p + (c,), rows.get(s2))), w)
+                                  for c, s2, w in steps[s]])
+                for p, s in prefixes[t].items()}
+            rows = new_rows
+        self._root = prefix_rows.get((), rows.get((0, 0)))
 
-    def sample(self, rng: random.Random) -> Word:
+    def sample(self, rng: random.Random, b: int = 1) -> Word:
+        """b blocks drawn one after another from rng, as one word of b M digits."""
         if self.size <= 0:
             raise ConstructionError("construction infeasible at this (N, M)")
         if self._root is None:
             self._build_table()
-        # randrange(total) inlined: CPython draws getrandbits(k), k the bit
-        # length of total, until the value falls below total, so the values
-        # and the generator state match randrange's (pinned by a test)
-        getrandbits = rng.getrandbits
-        while True:
-            digits: list[int] = []
-            row = self._root
-            while row is not None:
-                total, k, cum, choices = row
-                r = getrandbits(k)
-                while r >= total:
-                    r = getrandbits(k)
-                c, row = choices[bisect_right(cum, r)]
-                digits.append(c)
-            word = tuple(digits)
-            if word not in self._excluded:
-                return word
+        getrandbits, root, M = rng.getrandbits, self._root, self.M
+        digits: list[int] = []
+        append = digits.append
+        for _ in range(b):
+            while _draw_block(root, getrandbits, append) is not None:
+                del digits[-M:]  # an excluded block: draw it again
+        return tuple(digits)
 
     def enumerate(self, budget: int = 200_000) -> Iterator[Word]:
         if self._g[0][(0, 0)] > budget:
@@ -248,6 +260,46 @@ class BlockPool:
                 s2 = succ[c]
                 if s2 is not None and below[s2] > 0:
                     stack.append((s2, prefix + (c,)))
+
+
+def _sampling_row(weighted: list[tuple[tuple[int, object], int]]) -> tuple:
+    """The sampling row of (choice, weight) pairs with non-zero weights;
+    see ``BlockPool._build_table``."""
+    cum = list(accumulate(w for _, w in weighted))
+    total = cum[-1]
+    k = total.bit_length()
+    if k > _LOOKUP_BITS:
+        return total, k, None, cum, [choice for choice, _ in weighted]
+    lookup = [choice for choice, w in weighted for _ in range(w)]
+    return total, k, lookup + [None] * ((1 << k) - total), None, None
+
+
+def _draw_block(row: tuple, getrandbits: Callable[[int], int],
+                append: Callable[[int], None]) -> Optional[tuple]:
+    """Walk the sampling rows from row, appending one digit per row; returns
+    None at the end of a block and ``_EXCLUDED`` on an excluded one.
+
+    A function of its own, called once per block: CPython 3.11 specialises
+    a function's bytecode only once it has been called a few times, so a
+    loop over all of a gap's blocks in one call would run unspecialised.
+    """
+    # randrange(total) inlined: CPython draws getrandbits(k), k the bit
+    # length of total, until the value falls below total, so the values and
+    # the generator state match randrange's (pinned by a test)
+    while row:
+        total, k, lookup, cum, choices = row
+        if lookup is not None:
+            choice = lookup[getrandbits(k)]
+            while choice is None:
+                choice = lookup[getrandbits(k)]
+        else:
+            r = getrandbits(k)
+            while r >= total:
+                r = getrandbits(k)
+            choice = choices[bisect_right(cum, r)]
+        c, row = choice
+        append(c)
+    return row
 
 
 def m_set(trunc_ctx: BetaContext, parent_ctx: BetaContext, u: Word,
@@ -551,18 +603,11 @@ def _grow(plan: CantorPlan, word: Word, length: int,
 
 def _sampled_prefix(plan: CantorPlan, seed: int, length: int) -> Word:
     """The branch drawn from ``random.Random(seed)``, grown to length: the
-    seed block, then its pool's gap blocks up to the one that reaches length."""
+    seed block, then its pool's gap blocks up to the one that reaches length,
+    one ``BlockPool.sample`` call per run of slots."""
     rng = random.Random(seed)
     u = _seed_block(plan.universe(), rng)
-    sample = plan.pool_for(u).sample
-
-    def blocks(b: int) -> Word:
-        digits: list[int] = []
-        for _ in range(b):
-            digits.extend(sample(rng))
-        return tuple(digits)
-
-    return _grow(plan, u, length, blocks)
+    return _grow(plan, u, length, partial(plan.pool_for(u).sample, rng))
 
 
 @dataclass
@@ -575,10 +620,14 @@ class LevelSet:
 
 def build_levels(plan: CantorPlan, k_max: int, mode: str = "counts",
                  seed: int = 0, budget: int = 100_000) -> list[LevelSet]:
-    """Level families: exact counts, one sampled branch, or all branches.
+    """Level families: counts, one sampled branch, or all branches.
 
-    Counts use the plan's reference seed word for the rotation exclusions;
-    sampling draws the level-one block afresh per seed, matching the measure.
+    Counts use the plan's reference seed word for the rotation exclusions:
+    count_g is exact at level one, but from level two on each seed block has
+    its own pool, so count_g need not be the number of level words (on 2.5
+    with (1/3, 1, delta 0.9), K = 3, seed 0: 99 at level two, where
+    "exhaustive" lists 105).  Sampling draws the level-one block afresh per
+    seed, matching the measure.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
@@ -631,7 +680,7 @@ def sample_point(plan: CantorPlan, seed: int, depth: int) -> OrbitView:
         raise ValueError(f"depth must be at least 1, got {depth}")
     if depth > plan.reach:
         raise ValueError(f"depth exceeds plan reach {plan.reach}")
-    return OrbitView.from_digits(plan.ctx, _sampled_prefix(plan, seed, depth)[:depth])
+    return OrbitView._from_word(plan.ctx, _sampled_prefix(plan, seed, depth)[:depth])
 
 
 def measure(plan: CantorPlan, w: Word) -> Fraction:

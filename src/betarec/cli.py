@@ -368,7 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_returns)
 
     q = add("cantor", help="construction plans, samples, counts, measure")
-    q.add_argument("action", choices=("plan", "sample", "counts", "measure"))
+    q.add_argument("action", choices=("plan", "sample", "counts", "measure"),
+                   help="counts: count_g is exact at level one; past it every branch "
+                        "is counted with the reference seed's pool, so count_g can "
+                        "differ from the number of level words")
     q.add_argument("--rhat", type=_exponent, required=True)
     q.add_argument("--r", type=_exponent, required=True)
     q.add_argument("--delta", default="0.1")

@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .expansion import (
     BetaContext,
@@ -165,6 +166,15 @@ class OrbitView:
             raise ValueError("digit out of alphabet")
         view = cls(ctx, digits, None, None)
         view._arr = arr.astype(_digit_dtype(ctx), copy=False)
+        return view
+
+    @classmethod
+    def _from_word(cls, ctx: BetaContext, word: tuple[int, ...]) -> "OrbitView":
+        """A digit view of a word known to lie in the alphabet, unchecked;
+        when the digits fit int8, the array is one ``bytes`` copy of word."""
+        view = cls(ctx, list(word), None, None)
+        if _digit_dtype(ctx) is np.int8:
+            view._arr = np.frombuffer(bytes(word), dtype=np.int8)
         return view
 
     @property
@@ -316,14 +326,23 @@ def neg_log_distance(view: OrbitView, n: int) -> LambdaBounds:
 _UNIT = 2.0 ** -53  # unit roundoff of a float64
 
 
+# positions per block of the difference scan: its working arrays (three
+# float64 rows and the 48 x block int8 differences) stay in cache
+_SCAN_CHUNK = 1 << 14
+
+
 def _difference_scan(d: np.ndarray, beta_f: float, ia: np.ndarray, ib: np.ndarray,
                      dbeta: Optional[float] = None
                      ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """The float difference recurrence s <- beta_f s + d[ia] - d[ib], batched.
+    """The float difference recurrence s <- beta_f s + d[ia + i] - d[ib + i], batched.
 
     Each position starts from s = 0 and reads one digit pair a step for
-    ``_SCAN_STEPS`` = 48 steps, advancing ia and ib in place, so s approximates
-    S = sum_(i<48) c_i beta^(47-i) with c_i = d[ia + i] - d[ib + i].
+    ``_SCAN_STEPS`` = 48 steps, so s approximates S = sum_(i<48) c_i
+    beta^(47-i) with c_i = d[ia + i] - d[ib + i].  Positions run in blocks
+    of ``_SCAN_CHUNK``, all 48 steps on one block before the next: a block
+    gathers the 48-digit windows of d at its ia and at its ib (one row copy
+    per position), takes their difference once, and step i adds row i of
+    its transpose.  ia and ib are not changed.
     Returns s, the running maximum of |s|, and, given dbeta >= |beta_f - beta|,
     a bound err >= |S - s| carried in the same loop (None otherwise): one
     rounding each for the product and the sum, u the unit roundoff,
@@ -335,17 +354,24 @@ def _difference_scan(d: np.ndarray, beta_f: float, ia: np.ndarray, ib: np.ndarra
     if err is not None:
         beta_up = (beta_f + 2.0 * dbeta) * (1.0 + 4.0 * _UNIT)
         grow = dbeta + 4.0 * _UNIT * beta_f
-    for _ in range(_SCAN_STEPS):
-        if err is not None:
-            err *= beta_up
-            err += grow * np.abs(s)
-        s *= beta_f
-        s += d[ia] - d[ib]
-        if err is not None:
-            err += 4.0 * _UNIT * np.abs(s)
-        np.maximum(max_abs, np.abs(s), out=max_abs)
-        ia += 1
-        ib += 1
+    if not ia.shape[0]:
+        return s, max_abs, err  # d may be shorter than one window
+    windows = sliding_window_view(d, _SCAN_STEPS)
+    for lo in range(0, ia.shape[0], _SCAN_CHUNK):
+        part = slice(lo, lo + _SCAN_CHUNK)
+        sc, mc = s[part], max_abs[part]
+        ec = None if err is None else err[part]
+        # row i holds c_i of every position in the block
+        diffs = (windows[ia[part]] - windows[ib[part]]).T.copy()
+        for c in diffs:
+            if ec is not None:
+                ec *= beta_up
+                ec += grow * np.abs(sc)
+            sc *= beta_f
+            sc += c
+            if ec is not None:
+                ec += 4.0 * _UNIT * np.abs(sc)
+            np.maximum(mc, np.abs(sc), out=mc)
     return s, max_abs, err
 
 
@@ -520,8 +546,7 @@ def _batch_gaps(view: OrbitView, ns: np.ndarray) -> np.ndarray:
     sel = np.flatnonzero((ns + _LOOKAHEAD <= depth) & (ns + j + _SCAN_STEPS <= depth))
     j = j[sel]
     beta_f, dbeta = ctx.beta_float_bound()
-    s, _, err = _difference_scan(view._digit_array(), beta_f, ns[sel] + j, j.copy(),
-                                 dbeta=dbeta)
+    s, _, err = _difference_scan(view._digit_array(), beta_f, ns[sel] + j, j, dbeta=dbeta)
     tail = max(ctx.alphabet_max, 1) / (beta_f - 1.0)
     abs_s = np.abs(s)
     low = abs_s - err - tail
@@ -718,7 +743,7 @@ def _lambda_series(view: OrbitView, n_max: int) -> tuple[list[float], np.ndarray
     tail = amax / (beta_f - 1.0)
     ia = n_arr + j_arr
     bad = ia + (_SCAN_STEPS - 1) >= depth
-    s, max_abs, _ = _difference_scan(d, beta_f, ia, j_arr.copy())
+    s, max_abs, _ = _difference_scan(d, beta_f, ia, j_arr)
     abs_s = np.abs(s)
     ok = (~bad) & (abs_s > _FLOAT_MARGIN * tail) & (max_abs < _FLOAT_MARGIN * abs_s)
     lam = np.full(n_max, np.nan)

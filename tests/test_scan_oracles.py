@@ -36,7 +36,14 @@ The language oracles are the per-digit KMP walk that the follower
 automaton's transition table replaced, and the block pool that stepped both
 walks digit by digit for its counts, membership, prefix counts and
 enumeration.  Every table cell, every count and the enumeration order must
-be equal.
+be equal.  The block-draw oracle is the sampler that found each digit by
+bisection of its state's cumulative completion counts and drew a whole
+block again when it was excluded, which the lookup rows and the
+excluded-prefix rows replaced; blocks and generator states must be equal.
+The difference-scan oracle is the loop over all positions at once that
+advanced its index arrays in place, which the blocked scan over digit
+windows replaced; s, the running maximum and the error bound must be equal
+bit for bit.
 
 The construction oracles are the level words built by the definition
 u_k = (u_(k-1) v_k)^(ell_k) pad_k that the plan's segment layout replaced,
@@ -51,6 +58,7 @@ import itertools
 import math
 import random
 import time
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -61,6 +69,7 @@ from hypothesis import strategies as st
 from betarec import expansion, recurrence
 from betarec.algebraic import PRECISION_CAP_BITS, multiply_by_root
 from betarec.cantor import (
+    _LOOKUP_BITS,
     BlockPool,
     _power_at_least,
     _rotations,
@@ -202,6 +211,31 @@ def oracle_lambda_series(view, n_max, scan_steps=48):
     out = lam.tolist()
     view._oracle_lambda = (n_max, out, censored)
     return out, censored
+
+
+def oracle_difference_scan(d, beta_f, ia, ib, dbeta=None, scan_steps=48):
+    """The difference scan over all positions at once, advancing copies of
+    ia and ib by one each step."""
+    ia, ib = ia.copy(), ib.copy()
+    s = np.zeros(ia.shape[0], dtype=np.float64)
+    max_abs = np.zeros(ia.shape[0], dtype=np.float64)
+    err = None if dbeta is None else np.zeros_like(s)
+    unit = 2.0**-53
+    if err is not None:
+        beta_up = (beta_f + 2.0 * dbeta) * (1.0 + 4.0 * unit)
+        grow = dbeta + 4.0 * unit * beta_f
+    for _ in range(scan_steps):
+        if err is not None:
+            err *= beta_up
+            err += grow * np.abs(s)
+        s *= beta_f
+        s += d[ia] - d[ib]
+        if err is not None:
+            err += 4.0 * unit * np.abs(s)
+        np.maximum(max_abs, np.abs(s), out=max_abs)
+        ia += 1
+        ib += 1
+    return s, max_abs, err
 
 
 def oracle_estimate_r(view, n_max):
@@ -627,6 +661,56 @@ class TestEstimates:
         r, rh = assert_estimates_agree(lambda: OrbitView.from_digits(base25, digits),
                                        plan.n_seq[4])
         assert abs(r.value - 0.5) < 0.1 and abs(rh.value) < 0.1
+
+
+class TestDifferenceScan:
+    @staticmethod
+    def same_bits(a, b):
+        return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_blocks_match_the_whole_array_loop(self):
+        # zero-padded digits as _lambda_series lays them out: positions
+        # n + z(n) read up to the padding, and some match runs are long
+        chunk = recurrence._SCAN_CHUNK
+        rng = np.random.default_rng(131)
+        for value in ("2.5", "7/5"):
+            ctx = BetaContext.from_value(value)
+            beta_f, dbeta = ctx.beta_float_bound()
+            for n in (0, 1, chunk - 1, chunk, chunk + 1, 50_003):
+                depth = 2 * n + 100
+                d = np.zeros(depth + 49, dtype=np.int8)
+                d[:depth] = rng.integers(0, ctx.alphabet_max + 1, depth)
+                j = rng.integers(0, 40, n)
+                j[::97] = rng.integers(0, n + 1, j[::97].shape[0])
+                ia = np.minimum(np.arange(1, n + 1) + j, depth - 1)
+                for bound in (None, dbeta):
+                    ours = recurrence._difference_scan(d, beta_f, ia, j, dbeta=bound)
+                    ref = oracle_difference_scan(d, beta_f, ia, j, dbeta=bound)
+                    for got, want in zip(ours[:2], ref[:2]):
+                        assert self.same_bits(got, want), (value, n)
+                    if bound is None:
+                        assert ours[2] is None and ref[2] is None
+                    else:
+                        assert self.same_bits(ours[2], ref[2]), (value, n)
+                    assert ours[0].shape == (n,)
+
+    def test_index_arrays_are_left_alone(self):
+        d = np.arange(200, dtype=np.int8) % 3
+        ia, ib = np.arange(10, 60), np.arange(50)
+        j = ib.copy()
+        j.flags.writeable = False  # z_values() slices are read-only
+        recurrence._difference_scan(d, 2.5, ia, j)
+        assert (ia == np.arange(10, 60)).all() and (j == ib).all()
+
+    def test_no_positions_on_a_stream_shorter_than_the_scan(self):
+        empty = np.zeros(0, dtype=np.int64)
+        s, max_abs, err = recurrence._difference_scan(np.zeros(10, dtype=np.int8), 2.5,
+                                                      empty, empty, dbeta=1e-16)
+        assert s.shape == max_abs.shape == err.shape == (0,)
+        # extract_returns batches its return times through the scan
+        ctx = BetaContext.from_value("2.5")
+        view = OrbitView.from_digits(ctx, [1, 0, 1, 1, 0, 1, 2, 0, 1, 0])
+        assert len(recurrence._batch_gaps(view, np.array([2, 3, 5]))) == 3
 
 
 class TestPeriodicityVerdict:
@@ -1530,6 +1614,30 @@ class OraclePool:
                     stack.append((s2, prefix + (c,)))
 
 
+def oracle_pool_sample(pool, rng):
+    """One block by bisection: at each digit, the cumulative completion
+    counts of the state's digits, getrandbits(k) until the value is below
+    their total (CPython's randrange), the digit found by bisection; the
+    whole block drawn again while it is excluded."""
+    while True:
+        state, digits = (0, 0), []
+        for t in range(pool.M):
+            below = pool._g[t + 1]
+            cum, steps = [], []
+            for c, s2 in enumerate(pool._succ[state]):
+                if s2 is not None and below[s2]:
+                    cum.append((cum[-1] if cum else 0) + below[s2])
+                    steps.append((c, s2))
+            k = cum[-1].bit_length()
+            r = rng.getrandbits(k)
+            while r >= cum[-1]:
+                r = rng.getrandbits(k)
+            c, state = steps[bisect_right(cum, r)]
+            digits.append(c)
+        if tuple(digits) not in pool.exclude:
+            return tuple(digits)
+
+
 def parent_bases():
     """Bases of every kind: simple Parry (golden, x^3-x-1, the integers) and
     not (1.8, 2.5, 3.7, 7/5)."""
@@ -1680,6 +1788,59 @@ class TestBlockPoolWalks:
             seen[w] = seen.get(w, 0) + 1
         assert set(seen) == set(members[1:])
         assert max(seen.values()) < 2 * min(seen.values())
+
+
+class TestBlockDraws:
+    """Lookup rows, bisection rows and excluded-prefix rows against the
+    per-digit bisection sampler: the same blocks, the same generator state."""
+
+    @staticmethod
+    def pools():
+        base25 = BetaContext.from_value("2.5")
+        criterion6 = build_plan(base25, 0, Fraction(1, 2), delta="0.5", K=6, seed=23)
+        dimension = build_plan(base25, "0.2", "1", delta="0.9", K=4, seed=2)
+        golden = build_plan(BetaContext.golden(), "0.2", "1", delta="0.5", K=3, seed=11)
+        wide = build_plan(base25, "0.2", "1", delta="0.1", K=3, seed=0)
+        trunc = approximate_beta(base25, 2)
+        pools = {name: plan.pool_for(plan.seed_word) for name, plan in (
+            ("criterion 6", criterion6), ("dimension", dimension),
+            ("golden", golden), ("2.5 delta 0.1", wide))}
+        pools["criterion 6 universe"] = criterion6.universe()
+        pools["seed 4 exclusion"] = BlockPool(trunc, base25, 3, exclude=_rotations((1, 0, 0)))
+        return pools
+
+    def test_pools_cover_both_kinds_of_row(self):
+        pools = self.pools()
+        sizes = {name: (pool.M, pool.size) for name, pool in pools.items()}
+        assert sizes["criterion 6"] == (4, 27) and sizes["dimension"] == (3, 9)
+        assert sizes["golden"][0] == 12 and sizes["2.5 delta 0.1"][0] == 37
+        for pool in pools.values():
+            pool.sample(random.Random(0))
+        for name in ("criterion 6", "dimension", "golden", "seed 4 exclusion"):
+            assert pools[name]._root[2] is not None, name
+        # the root row draws 49 bits: more than one 32-bit word, and bisected
+        root = pools["2.5 delta 0.1"]._root
+        assert root[1] == 49 > _LOOKUP_BITS and root[2] is None
+
+    def test_blocks_match_the_bisection_sampler(self):
+        for name, pool in self.pools().items():
+            for seed in range(6):
+                ours, ref = random.Random(seed), random.Random(seed)
+                for _ in range(40):
+                    assert pool.sample(ours) == oracle_pool_sample(pool, ref), (name, seed)
+                for b in (2, 7, 150):
+                    want = sum((oracle_pool_sample(pool, ref) for _ in range(b)), ())
+                    assert pool.sample(ours, b) == want, (name, seed, b)
+                assert ours.getstate() == ref.getstate(), (name, seed)
+
+    def test_excluded_draw_is_drawn_again(self):
+        # seed 4's first raw block is an excluded rotation of (1, 0, 0)
+        pool = self.pools()["seed 4 exclusion"]
+        raw = oracle_pool_sample(BlockPool(pool.child, pool.parent, 3), random.Random(4))
+        assert raw in pool.exclude
+        ours, ref = random.Random(4), random.Random(4)
+        assert pool.sample(ours, 3) == sum((oracle_pool_sample(pool, ref) for _ in range(3)), ())
+        assert ours.getstate() == ref.getstate()
 
 
 # ---------------------------------------------------------------------------
@@ -1846,10 +2007,11 @@ class TestConstructionKernels:
         assert view.depth == depth
 
     def test_drawing_stops_at_the_block_that_reaches_the_depth(self, monkeypatch):
+        # one entry per block drawn, whether a call draws one block or a run
         draws = []
         inner = BlockPool.sample
         monkeypatch.setattr(BlockPool, "sample",
-                            lambda pool, rng: draws.append(pool) or inner(pool, rng))
+                            lambda pool, rng, b=1: draws.extend([pool] * b) or inner(pool, rng, b))
 
         def gap_draws(plan, depth):
             # whole gaps below depth, then the blocks of the gap it ends in
@@ -1872,6 +2034,15 @@ class TestConstructionKernels:
         # the dimension plan at depth 60: u_2 ends at 52 and M = 3, so after
         # the seed block a point draws t_1 = 5 blocks and 3 of v_3's 25
         assert gap_draws(self.plans["2.5"], 60) == 8
+
+    def test_sample_point_hands_over_the_int8_array_of_its_digits(self):
+        for name, plan in self.plans.items():
+            depth = landmark_depths(plan)[-1]
+            view = sample_point(plan, 5, depth)
+            ref = OrbitView.from_digits(plan.ctx, view.digits(depth))
+            arr = view._digit_array()
+            assert arr.dtype == np.int8 == ref._digit_array().dtype, name
+            assert np.array_equal(arr, ref._digit_array()), name
 
     def test_exhaustive_level_two_matches_the_definition(self):
         # k = 2 words of every seed block and every gap filler, in the
