@@ -104,7 +104,9 @@ def _rotations(u: Word) -> tuple[Word, ...]:
 
 
 # sampling rows whose draws have at most this many bits look their choice
-# up in a list of 2^bits entries; wider rows bisect
+# up in a list of 2^bits entries; wider rows bisect.  Eight bits bound a
+# row's list at 256 entries and cover every row of the small pools that
+# deep points draw most from (a golden M = 12 pool's first row draws 8)
 _LOOKUP_BITS = 8
 # where a sampling walk ends on an excluded block (a walk that is not ends on None)
 _EXCLUDED = ()
