@@ -348,8 +348,8 @@ class BetaContext:
         self._one_stream = None
         self._one_terminated: Optional[int] = None
         self._star_period: Optional[Word] = _star_period
-        # value of the greedy cylinder tail per (follower state, refine), rational bases
-        self._cylinder_tails: dict[tuple[int, int], Fraction] = {}
+        # cylinder geometry per (follower state, refine, n), see symbolic.cylinder
+        self._cylinder_tails: dict[tuple[int, int, int], object] = {}
         if isinstance(exact, RootBracket) and exact.degree < 2:
             raise ValueError("degree-1 bases should be constructed as rationals")
         bounds = self.beta_bounds()
@@ -581,33 +581,51 @@ def word_value_fraction(w: Word, beta: Fraction) -> Fraction:
     return Fraction(t, pl)
 
 
-def word_sum_bounds(w: Word, ctx: BetaContext) -> BoundedReal:
-    """Enclosure of the finite sum sum(w_i beta^-i), with no tail allowance.
+def _horner_ends(w: Word, ctx: BetaContext, lo: int = 0, hi: int = 0) -> tuple[int, int]:
+    """Integer endpoints at scale 2**(bits + 64) of the Horner enclosure of
+    sum(w_i beta^-i) + beta^-len(w) x, x in [lo, hi] at that scale, for an
+    algebraic base.
 
-    For an algebraic base this is Horner's rule acc = (acc + d) / beta over
-    the root's enclosure [p/q, P/Q] at the context precision bits, rounded
-    outward after every digit to the grid 2**-(bits + 64).  It runs on the
-    integer endpoints at that scale: a step takes floor((lo + d) * r) and
-    ceil((hi + d) * r), where r is the end of [Q/P, q/p] that the interval
-    product picks by sign.  That replays
-    ``BoundedReal`` interval arithmetic with ``shrink`` exactly, with no
-    Fraction per digit.
+    Started from (0, 0) this is ``word_sum_bounds``; started from the
+    endpoints of a tail's sum it continues that sum, since Horner reads the
+    tail's digits first.  A step takes floor((lo + d) * r) and
+    ceil((hi + d) * r), where r is the end of [Q/P, q/p], the inverse of the
+    root's enclosure [p/q, P/Q] at the context precision bits, that the
+    interval product picks by sign.
     """
-    if isinstance(ctx.exact, Fraction):
-        return BoundedReal.exact(word_value_fraction(w, ctx.exact))
     bits = ctx.precision_bits
     beta_lo, beta_hi = ctx.exact.bounds(bits)
     p, q = beta_lo.numerator, beta_lo.denominator
     P, Q = beta_hi.numerator, beta_hi.denominator
     shift = bits + 64
-    lo = hi = 0
     for d in reversed(w):
         a = lo + (d << shift)
         b = hi + (d << shift)
         lo = (a * Q) // P if a >= 0 else (a * q) // p
         hi = -((-b * q) // p) if b >= 0 else -((-b * Q) // P)
-    scale = 1 << shift
-    return BoundedReal.from_endpoints(Fraction(lo, scale), Fraction(hi, scale))
+    return lo, hi
+
+
+def _scaled_interval(lo: int, hi: int, den: int) -> BoundedReal:
+    """[lo/den, hi/den], with one Fraction each for the center and radius;
+    equal to ``BoundedReal.from_endpoints(Fraction(lo, den), Fraction(hi, den))``."""
+    return BoundedReal(Fraction(lo + hi, 2 * den), Fraction(hi - lo, 2 * den))
+
+
+def word_sum_bounds(w: Word, ctx: BetaContext) -> BoundedReal:
+    """Enclosure of the finite sum sum(w_i beta^-i), with no tail allowance.
+
+    For an algebraic base this is Horner's rule acc = (acc + d) / beta over
+    the root's enclosure at the context precision bits, rounded outward
+    after every digit to the grid 2**-(bits + 64).  It runs on the integer
+    endpoints at that scale (``_horner_ends``), which replays
+    ``BoundedReal`` interval arithmetic with ``shrink`` exactly, with no
+    Fraction per digit.
+    """
+    if isinstance(ctx.exact, Fraction):
+        return BoundedReal.exact(word_value_fraction(w, ctx.exact))
+    lo, hi = _horner_ends(w, ctx)
+    return _scaled_interval(lo, hi, 1 << (ctx.precision_bits + 64))
 
 
 def beta_power_bounds(ctx: BetaContext, k: int) -> tuple[Fraction, Fraction]:

@@ -17,6 +17,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,8 +50,12 @@ def _digit_dtype(ctx: BetaContext) -> type:
 
 
 # positions whose match with the prefix is shorter than this are settled by
-# whole-array comparisons; the rest go through the Z-box recursion
+# whole-array comparisons; the next _Z_WINDOW digits of the others are read
+# by one gather per block of _Z_GATHER of them, and only those that match the
+# whole window (or reach the end) go through the Z-box recursion
 _Z_VECTOR_STEPS = 8
+_Z_WINDOW = 64
+_Z_GATHER = 1024
 
 
 def _extend_match(a: np.ndarray, i: int, z: int) -> int:
@@ -72,18 +77,46 @@ def _extend_match(a: np.ndarray, i: int, z: int) -> int:
     return z
 
 
+def _settle_window(a: np.ndarray, z: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Settle the positions of block whose match ends within the window;
+    returns the others, in order.
+
+    Every position of block matches the first K = ``_Z_VECTOR_STEPS`` digits
+    and z holds K there.  Its window a[i+K : i+K+W] is gathered and compared
+    with a[K : K+W], so its first difference gives the exact match length.
+    A position whose window matches throughout keeps K + W as a known match
+    length, and one whose window runs past the end keeps K.
+    """
+    K, W = _Z_VECTOR_STEPS, _Z_WINDOW
+    far = int(np.searchsorted(block, a.shape[0] - K - W, side="right"))
+    if not far:
+        return block
+    i = block[:far]
+    diff = a[i[:, None] + np.arange(K, K + W)] != a[K : K + W]
+    first = diff.argmax(axis=1)
+    settled = diff[np.arange(far), first]
+    z[i] += np.where(settled, first, W)
+    return np.concatenate((i[~settled], block[far:]))
+
+
 def z_array(seq) -> np.ndarray:
     """z[i] = length of the longest common prefix of seq and seq[i:].
 
     Returns an int64 array.  The first phase settles, with
     ``_Z_VECTOR_STEPS`` whole-array comparisons, every position whose match
-    is shorter than that.  The other positions go through the Z-box
-    recursion (Gusfield, *Algorithms on Strings, Trees and Sequences*, 1997,
-    sec. 1.4) in increasing order.  A match of length m at i makes
+    is shorter than that.  The other positions are taken in increasing
+    order through the Z-box recursion (Gusfield, *Algorithms on Strings,
+    Trees and Sequences*, 1997, sec. 1.4).  A match of length m at i makes
     seq[:i + m] i-periodic, so inside that box z[j] follows from
     z[j mod i] for all j at once; only the positions whose mirrored match
     reaches the box edge are extended one by one.  So a match that runs to
     the end of the stream settles every later position in one step.
+
+    Positions past the current box are first read ``_Z_WINDOW`` digits
+    further, a block at a time (``_settle_window``), and those whose match
+    ends there are final and skipped.  Settled positions are exact, so the
+    box's reads of z[j mod i] stay final; a position that a box covers
+    before its block is read is never gathered.
     """
     a = np.asarray(seq)
     n = a.shape[0]
@@ -100,27 +133,34 @@ def z_array(seq) -> np.ndarray:
         z += alive
     todo = np.flatnonzero(alive)  # z >= K: z holds K, a known match length
     undecided: deque[int] = deque()  # inside a box, z holds the box bound
-    p = r = 0
+    # todo[:p] are read or inside a box; block[b:] are the open positions of
+    # the last block read, all below todo[p]
+    block = todo[:0]
+    b = p = r = 0
     while True:
         if undecided:
             i = undecided.popleft()
-        elif p < todo.shape[0]:
-            i = int(todo[p])
-            p += 1
         else:
-            return z
+            while b == block.shape[0]:
+                if p == todo.shape[0]:
+                    return z
+                block, b = _settle_window(a, z, todo[p : p + _Z_GATHER]), 0
+                p = min(p + _Z_GATHER, todo.shape[0])
+            i = int(block[b])
+            b += 1
         end = i + _extend_match(a, i, max(int(z[i]), K))
         z[i] = end - i
         if end > r:
             # every position below i is final; in the new part of the box,
             # z[j] = z[j mod i] when that is shorter than end - j, and
             # end - j when longer, as a[end] != a[end - i] or end = n
-            q = int(np.searchsorted(todo, end))
-            j = todo[p:q]
+            c = int(np.searchsorted(block, end))
+            q = max(p, int(np.searchsorted(todo, end)))
+            j = np.concatenate((block[b:c], todo[p:q]))
             zk = z[j % i]
             z[j] = np.minimum(zk, end - j)
             undecided.extend(j[zk == end - j].tolist())
-            p, r = q, end
+            b, p, r = c, q, end
 
 
 # ---------------------------------------------------------------------------
@@ -693,32 +733,39 @@ class ExponentEstimate:
     """An exponent estimate plus the raw per-n series it came from.
 
     ``value`` is math.inf exactly when the stream was detected periodic;
-    ``neg_log`` holds midpoint values of -log_beta |T^n x - x| (nan where
-    censored), 1-indexed by return time n.
+    ``lam`` holds midpoint values of -log_beta |T^n x - x| (nan where
+    censored) for return times n = 1..n_max, as the read-only array the
+    view caches (None on a periodic stream), and ``neg_log`` is the same
+    series as a list of floats, made on first read.
     """
 
     value: float
     n_max: int
     window: tuple[int, int]
-    neg_log: list[float] = field(repr=False, default_factory=list)
+    lam: Optional[np.ndarray] = field(repr=False, default=None, compare=False)
     censored: int = 0
+
+    @cached_property
+    def neg_log(self) -> list[float]:
+        return [] if self.lam is None else self.lam.tolist()
 
     def ratios(self) -> list[float]:
         return [lam / n for n, lam in enumerate(self.neg_log, start=1)]
 
 
-def _lambda_series(view: OrbitView, n_max: int) -> tuple[list[float], np.ndarray, int]:
+def _lambda_series(view: OrbitView, n_max: int) -> tuple[np.ndarray, int]:
     """Midpoints of -log_beta |T^n x - x| for n = 1..n_max, batched.
 
     A fixed number of float recurrence steps settles the vast majority of
     positions at once; positions that cancel too deeply, dip and recover
     (where the float recurrence loses precision), or run off the stream are
     recomputed with the exact per-position routine.  Returns the series as
-    a list and as an array, and the number of censored positions.
+    a read-only array, kept on the view, and the number of censored
+    positions.
     """
     cache = getattr(view, "_lambda_cache", None)
     if cache is not None and cache[0] == n_max:
-        return cache[1], cache[2], cache[3]
+        return cache[1], cache[2]
     n_arr = np.arange(1, n_max + 1)
     # make sure every position can see its whole match plus the scan window
     probe = 0
@@ -756,9 +803,9 @@ def _lambda_series(view: OrbitView, n_max: int) -> tuple[list[float], np.ndarray
             censored += 1
         else:
             lam[idx] = (lb.lo + lb.hi) / 2.0
-    out = lam.tolist()
-    view._lambda_cache = (n_max, out, lam, censored)
-    return out, lam, censored
+    lam.flags.writeable = False
+    view._lambda_cache = (n_max, lam, censored)
+    return lam, censored
 
 
 def _check_periodic(view: OrbitView, n_max: int) -> bool:
@@ -794,10 +841,10 @@ def _estimate(view: OrbitView, n_max: int,
     window = (n_max // 2, n_max)
     if _check_periodic(view, n_max):
         return ExponentEstimate(math.inf, n_max, window)
-    series, lam, censored = _lambda_series(view, n_max)
+    lam, censored = _lambda_series(view, n_max)
     positive = np.where(lam > 0, lam, 0.0)  # censored (nan) entries fail the test
     value = float(reduce(positive, np.arange(window[0], n_max + 1)))
-    return ExponentEstimate(value, n_max, window, series, censored)
+    return ExponentEstimate(value, n_max, window, lam, censored)
 
 
 def estimate_r(view: OrbitView, n_max: int) -> ExponentEstimate:

@@ -17,11 +17,14 @@ Otherwise the automaton is built to a requested depth and rebuilt on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Optional
 
 from .expansion import (
     BetaContext,
     Word,
+    _horner_ends,
+    _scaled_interval,
     beta_power_bounds,
     word_sum_bounds,
     word_value_fraction,
@@ -248,35 +251,56 @@ def cylinder(w: Word, ctx: BetaContext, refine: int = 24) -> Cylinder:
 
     The supremum is approached by greedily extending w with maximal
     admissible digits, which follows the expansion of 1 from the follower
-    state, so `refine` extension digits determine the length within
-    beta^-(n+refine).
+    state, so `refine` extension digits ext determine the length within
+    beta^-(n+refine): it lies in [S(w + ext) - S(w), that + beta^-(n+refine)],
+    S the word sum.
 
-    On a rational base the sums are exact, so the length's lower end is
-    beta^-n value(ext); value(ext) depends only on the state and refine and
-    is cached on the context.
+    Everything in that bound except w itself depends only on (state,
+    refine, n), and is cached on the context under that key.  On a rational
+    base the sums are exact, the length is beta^-n S(ext) plus the tail
+    allowance, and the cache holds the finished length.  On an algebraic
+    base, Horner reads reversed(w + ext), so its state after the ext digits
+    is shared by every word; the cache holds that state (integer endpoints
+    at the word sums' scale) and half the upper end of beta^-(n+refine),
+    and two Horner runs over w's digits, from 0 and from that state, give
+    S(w) and S(w + ext).  The length's ends are assembled as integers, as
+    ``BoundedReal`` subtraction would form them (E.lo - L.hi, E.hi - L.lo),
+    so the cylinder is the one the two full word sums give.
     """
     if refine < 0:
         raise ValueError(f"refine must be non-negative, got {refine}")
+    w = tuple(w)
     n = len(w)
     state = automaton_for(ctx, n + refine).feed(w)
     if state is None:
         raise ValueError("word is not admissible")
-    left = word_sum_bounds(w, ctx)
-    _, tail_hi = beta_power_bounds(ctx, -(n + refine))
-    if ctx.beta_fraction is not None:
-        tail = ctx._cylinder_tails.get((state, refine))
-        if tail is None:
-            ext = ctx.eps_star(state + refine)[state:]
-            tail = word_value_fraction(ext, ctx.beta_fraction)
-            ctx._cylinder_tails[(state, refine)] = tail
-        scale, _ = beta_power_bounds(ctx, -n)
-        half = tail_hi / 2
-        length = BoundedReal(scale * tail + half, half)  # [scale tail, scale tail + tail_hi]
-    else:
+    key = (state, refine, n)
+    cached = ctx._cylinder_tails.get(key)
+    beta = ctx.beta_fraction
+    if cached is None:
         ext = ctx.eps_star(state + refine)[state:]
-        diff = word_sum_bounds(w + ext, ctx) - left
-        length = BoundedReal.from_endpoints(diff.lo, diff.hi + tail_hi)
-    return Cylinder(word=w, left=left, length=length, full=state == 0)
+        _, tail_hi = beta_power_bounds(ctx, -(n + refine))
+        half = tail_hi / 2
+        if beta is not None:
+            scale, _ = beta_power_bounds(ctx, -n)
+            # [scale S(ext), scale S(ext) + tail_hi]
+            cached = BoundedReal(scale * word_value_fraction(ext, beta) + half, half)
+        else:
+            cached = _horner_ends(ext, ctx) + (half,)
+        ctx._cylinder_tails[key] = cached
+    if beta is not None:
+        return Cylinder(word=w, left=word_sum_bounds(w, ctx), length=cached, full=state == 0)
+    ext_lo, ext_hi, half = cached
+    l_lo, l_hi = _horner_ends(w, ctx)
+    e_lo, e_hi = _horner_ends(w, ctx, ext_lo, ext_hi)
+    scale = 1 << (ctx.precision_bits + 64)
+    # [lo, hi + tail] with lo = (e_lo - l_hi) / scale and hi = (e_hi - l_lo) / scale;
+    # on a dyadic root bracket the tail's denominator is odd, so Fraction
+    # adds it to the dyadic halves with no gcd of the large terms
+    lo, hi = e_lo - l_hi, e_hi - l_lo
+    length = BoundedReal(Fraction(lo + hi, 2 * scale) + half, Fraction(hi - lo, 2 * scale) + half)
+    return Cylinder(word=w, left=_scaled_interval(l_lo, l_hi, scale), length=length,
+                    full=state == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ float of beta equal to a fresh context's, and the precision itself cannot
 be reassigned.  The pins fix the floats of beta, a digest of the golden
 cylinders that acceptance criterion 4 checks, criterion 10's box counts,
 a point of criterion 6's plan past its last level, and the README's
-``dim boxcount``, ``cantor sample`` and ``cantor measure`` envelopes.
+``dim boxcount``, ``cantor sample``, ``cantor measure`` and ``exponents``
+envelopes; the last prints the whole lambda series.
 """
 
 import hashlib
@@ -194,3 +195,13 @@ def test_readme_cantor_envelope_digests(command, capsys):
     assert main(shlex.split(command)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == README_CANTOR_DIGESTS[command]
+
+
+# recorded while the lambda series was still built as a list by _lambda_series
+README_EXPONENTS_DIGEST = "7167423f58e24a8cbb3a87f64f4a5b53a4dd4232f940bf2f29537f7443f33b8e"
+
+
+def test_readme_exponents_envelope_digest(capsys):
+    assert main(shlex.split("exponents --beta 2.5 --x 0.7137 --N 2000")) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == README_EXPONENTS_DIGEST

@@ -101,13 +101,13 @@ def digit_streams(draw, ctx):
 def test_lambda_series_midpoints_lie_in_the_per_position_bounds(data):
     ctx = RETURN_BASES[data.draw(st.sampled_from(sorted(RETURN_BASES)))]
     digits = data.draw(digit_streams(ctx))
-    series, _, _ = recurrence._lambda_series(OrbitView.from_digits(ctx, digits),
-                                             min(len(digits) - 1, 80))
+    lam, _ = recurrence._lambda_series(OrbitView.from_digits(ctx, digits),
+                                       min(len(digits) - 1, 80))
     ref = OrbitView.from_digits(ctx, digits)
     # a float midpoint is kept when the tail stays below 1/_FLOAT_MARGIN of
     # the partial sum, which moves lambda by at most -log_beta(1 - 1/margin)
     tol = -2.0 * math.log1p(-1.0 / recurrence._FLOAT_MARGIN) / math.log(ctx.beta_float())
-    for n, mid in enumerate(series, start=1):
+    for n, mid in enumerate(lam.tolist(), start=1):
         if not math.isnan(mid):
             lam = neg_log_distance(ref, n)
             assert lam.lo - tol <= mid <= lam.hi + tol, (n, mid, lam)

@@ -20,6 +20,10 @@ The cylinder oracles are the ``BoundedReal`` loops that the integer kernels
 replaced: Horner with a dyadic ``shrink`` per digit, ``powi`` on the base's
 interval, and the greedy tail built one automaton step at a time.  The
 kernels replay them exactly, so centers, radii and endpoints must be equal.
+The cylinder-cache oracle is the cylinder that took both word sums S(w)
+and S(w + ext) per word, which the per-(state, refine, n) cache of the
+tail's Horner state and of the length replaced; endpoints and fullness
+must be equal, whatever order the words come in.
 
 The return oracles are the loop that certifies every first-digit recurrence
 one by one with ``_depth_from_lambda``, and the Fraction comparison of a
@@ -40,6 +44,9 @@ be equal.  The block-draw oracle is the sampler that found each digit by
 bisection of its state's cumulative completion counts and drew a whole
 block again when it was excluded, which the lookup rows and the
 excluded-prefix rows replaced; blocks and generator states must be equal.
+The Z-box oracle is the Z-array that sent every position surviving the
+whole-array steps through the Z-box recursion, which the batched window
+read replaced; the arrays must be equal.
 The difference-scan oracle is the loop over all positions at once that
 advanced its index arrays in place, which the blocked scan over digit
 windows replaced; s, the running maximum and the error bound must be equal
@@ -54,12 +61,14 @@ tuples per depth and per bootstrap resample.  Level words, digits, masses
 (and their strings), slopes, intervals and counts must be equal.
 """
 
+import collections
 import itertools
 import math
 import random
 import time
 from bisect import bisect_right
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -449,13 +458,85 @@ def oracle_greedy_tail(w, ctx, refine):
     return tuple(ext)
 
 
-def oracle_cylinder(w, ctx, refine):
+def oracle_interval_cylinder(w, ctx, refine):
     state = automaton_for(ctx, len(w) + refine).feed(w)
     left = oracle_word_sum_bounds(w, ctx)
     diff = oracle_word_sum_bounds(w + oracle_greedy_tail(w, ctx, refine), ctx) - left
     _, tail_hi = oracle_beta_power_bounds(ctx, -(len(w) + refine))
     length = BoundedReal.from_endpoints(diff.lo, diff.hi + tail_hi)
     return Cylinder(word=w, left=left, length=length, full=state == 0)
+
+
+def oracle_cylinder(w, ctx, refine):
+    """The cylinder from both word sums: S(w + ext) - S(w) as ``BoundedReal``
+    subtraction on an algebraic base, and S(ext) valued per call on a
+    rational one."""
+    n = len(w)
+    state = automaton_for(ctx, n + refine).feed(w)
+    if state is None:
+        raise ValueError("word is not admissible")
+    left = word_sum_bounds(w, ctx)
+    _, tail_hi = beta_power_bounds(ctx, -(n + refine))
+    ext = ctx.eps_star(state + refine)[state:]
+    if ctx.beta_fraction is not None:
+        scale, _ = beta_power_bounds(ctx, -n)
+        half = tail_hi / 2
+        length = BoundedReal(scale * word_value_fraction(ext, ctx.beta_fraction) + half, half)
+    else:
+        diff = word_sum_bounds(w + ext, ctx) - left
+        length = BoundedReal.from_endpoints(diff.lo, diff.hi + tail_hi)
+    return Cylinder(word=w, left=left, length=length, full=state == 0)
+
+
+def oracle_zbox_extend(a, i, z):
+    n = a.shape[0]
+    step = 64
+    while i + z < n:
+        end = min(z + step, n - i)
+        diff = a[z:end] != a[i + z : i + end]
+        k = int(diff.argmax())
+        if diff[k]:
+            return z + k
+        z = end
+        step *= 2
+    return z
+
+
+def oracle_zbox_z_array(seq, K=8):
+    """Whole-array steps for matches below K, then the Z-box recursion over
+    every surviving position."""
+    a = np.asarray(seq)
+    n = a.shape[0]
+    z = np.zeros(n, dtype=np.int64)
+    if n == 0:
+        return z
+    z[0] = n
+    alive = np.ones(n, dtype=bool)
+    alive[0] = False
+    for k in range(min(K, n)):
+        alive[n - k:] = False
+        alive[1 : n - k] &= a[1 + k : n] == a[k]
+        z += alive
+    todo = np.flatnonzero(alive)
+    undecided = collections.deque()
+    p = r = 0
+    while True:
+        if undecided:
+            i = undecided.popleft()
+        elif p < todo.shape[0]:
+            i = int(todo[p])
+            p += 1
+        else:
+            return z
+        end = i + oracle_zbox_extend(a, i, max(int(z[i]), K))
+        z[i] = end - i
+        if end > r:
+            q = int(np.searchsorted(todo, end))
+            j = todo[p:q]
+            zk = z[j % i]
+            z[j] = np.minimum(zk, end - j)
+            undecided.extend(j[zk == end - j].tolist())
+            p, r = q, end
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +641,82 @@ class TestZArray:
         assert z.tolist() == oracle_z_array(v._digits)
         assert v.z(3) == 5 and type(v.z(3)) is int
         assert v.z_values() is z  # kept, not rebuilt
+
+
+@st.composite
+def z_streams(draw):
+    """Digit streams over {0, 1} or {0, 1, 2} at the window's edge lengths
+    (K + W = 72) or any length below 400: random, all zeros, periodic, with
+    the prefix copied to positions near the end, where the window runs past
+    the stream, or with prefix pieces of up to 150 digits copied anywhere,
+    so that a match past the window can end before later survivors."""
+    digit = st.integers(0, draw(st.sampled_from((1, 2))))
+    n = draw(st.one_of(st.sampled_from((0, 1, 8, 71, 72, 73)), st.integers(0, 400)))
+    kind = draw(st.sampled_from(("random", "zeros", "periodic", "near end", "copies")))
+    if kind == "zeros":
+        seq = [0] * n
+    elif kind == "periodic":
+        block = draw(st.lists(digit, min_size=1, max_size=80))
+        seq = (block * (n // len(block) + 1))[:n]
+    else:
+        seq = draw(st.lists(digit, min_size=n, max_size=n))
+    if kind == "near end" and n > 1:
+        for at in draw(st.lists(st.integers(max(n - 80, 1), n - 1), max_size=4)):
+            seq[at:] = seq[: n - at]
+    if kind == "copies" and n > 1:
+        for at, length in draw(st.lists(st.tuples(st.integers(1, n - 1), st.integers(1, 150)),
+                                        max_size=6)):
+            piece = seq[: min(length, n - at)]
+            seq[at : at + len(piece)] = piece
+    return seq
+
+
+class TestZWindow:
+    """The batched window read against the Z-box recursion it shortens."""
+
+    @staticmethod
+    def assert_matches_oracles(seq, gather):
+        with mock.patch.object(recurrence, "_Z_GATHER", gather):
+            for arr in (seq, np.array(seq, dtype=np.int8), np.array(seq, dtype=np.int64)):
+                z = z_array(arr)
+                assert z.dtype == np.int64
+                assert z.tolist() == oracle_zbox_z_array(arr).tolist()
+        assert z.tolist() == oracle_z_array(seq)
+
+    @settings(max_examples=300)
+    @given(z_streams(), st.sampled_from((1, 2, 3, 4, 1024)))
+    def test_drawn_streams(self, seq, gather):
+        # gathers of 1 to 4 positions split the survivors into many blocks
+        self.assert_matches_oracles(seq, gather)
+
+    @pytest.mark.parametrize("n", [0, 1, 8, 71, 72, 73])
+    def test_window_edge_lengths(self, n):
+        rng = random.Random(n)
+        for seq in ([0] * n, [1] * n, ([0, 1] * n)[:n], random_digits(rng, 2, n)):
+            self.assert_matches_oracles(seq, 1024)
+
+    def test_a_box_that_ends_inside_a_block(self):
+        # 300 matches 100 digits, past the window, and its box ends before
+        # the settled survivors 420 and 430 read in the same block
+        rng = random.Random(19)
+        seq = random_digits(rng, 1, 500)
+        for at, length in ((300, 100), (420, 9), (430, 20)):
+            seq[at : at + length] = seq[:length]
+        for gather in (*range(1, 9), 1024):
+            self.assert_matches_oracles(seq, gather)
+
+    def test_survivors_in_several_blocks(self):
+        # a binary stream of this length leaves about 1,200 survivors
+        rng = random.Random(17)
+        seq = random_digits(rng, 1, 300_000)
+        a = np.array(seq, dtype=np.int8)
+        assert z_array(a).tolist() == oracle_zbox_z_array(a).tolist()
+        block = random_digits(rng, 1, 23)
+        seq = (block * (300_000 // 23 + 1))[:300_000]
+        for at in rng.sample(range(300_000), 50):
+            seq[at] ^= 1
+        a = np.array(seq, dtype=np.int64)
+        assert z_array(a).tolist() == oracle_zbox_z_array(a).tolist()
 
 
 class TestDigitPeriod:
@@ -1045,14 +1202,54 @@ class TestCylinderKernels:
                     BetaContext.from_root(CUBIC, 1, 2)):
             for n in range(9):
                 for w in enumerate_admissible(ctx, n):
-                    assert cylinder(w, ctx, refine) == oracle_cylinder(w, ctx, refine), w
+                    assert cylinder(w, ctx, refine) == oracle_interval_cylinder(w, ctx, refine), w
 
     def test_cylinder_past_the_default_automaton_depth(self):
         # 2.5 is not simple Parry: its automaton is rebuilt deeper for n + refine > 64
         ctx = BetaContext.from_value("2.5")
         for w in ((), (0,), (2,), (2, 0, 2), (1, 2, 1, 0)):
-            assert cylinder(w, ctx, 90) == oracle_cylinder(w, ctx, 90), w
+            assert cylinder(w, ctx, 90) == oracle_interval_cylinder(w, ctx, 90), w
         assert automaton_for(ctx, 0).depth >= 94
+
+
+def cylinder_cache_bases():
+    golden = BetaContext.golden()
+    return {"2.5": BetaContext.from_value("2.5"), "7/5": BetaContext.from_value("7/5"),
+            "3": BetaContext.from_value(3), "golden": golden,
+            "golden N=3": approximate_beta(golden, 3),
+            "x^3-x-1": BetaContext.from_root(CUBIC, 1, 2)}
+
+
+CYLINDER_REFINES = (0, 1, 24, 40)
+
+
+class TestCylinderCache:
+    """The cached tail state and length against the two word sums, on words
+    up to length 7, with each side on its own contexts."""
+
+    @staticmethod
+    def assert_same(ours, ref):
+        assert (ours.left.lo, ours.left.hi, ours.length.lo, ours.length.hi, ours.full) == \
+            (ref.left.lo, ref.left.hi, ref.length.lo, ref.length.hi, ref.full)
+        assert ours == ref
+
+    @pytest.mark.parametrize("name", sorted(cylinder_cache_bases()))
+    def test_fresh_contexts_in_word_order(self, name):
+        for refine in CYLINDER_REFINES:
+            ours, ref = cylinder_cache_bases()[name], cylinder_cache_bases()[name]
+            for n in range(8):
+                for w in enumerate_admissible(ours, n):
+                    self.assert_same(cylinder(w, ours, refine), oracle_cylinder(w, ref, refine))
+
+    @pytest.mark.parametrize("name", sorted(cylinder_cache_bases()))
+    def test_one_context_in_interleaved_order(self, name):
+        # cache entries made by one (word, refine) are read by others
+        ours, ref = cylinder_cache_bases()[name], cylinder_cache_bases()[name]
+        cases = [(w, refine) for refine in CYLINDER_REFINES
+                 for n in range(8) for w in enumerate_admissible(ours, n)]
+        random.Random(name).shuffle(cases)
+        for w, refine in cases:
+            self.assert_same(cylinder(w, ours, refine), oracle_cylinder(w, ref, refine))
 
 
 def return_bases():

@@ -180,6 +180,13 @@ class TestCylinder:
             with pytest.raises(ValueError, match="refine"):
                 cylinder((1, 0), ctx, refine=-1)
 
+    def test_list_words_on_both_kinds_of_base(self, phi, base25):
+        # OrbitView.digits returns lists; the word is kept as a tuple
+        for ctx, w in ((phi, [1, 0]), (base25, [2, 0, 1])):
+            c = cylinder(w, ctx, refine=40)
+            assert c == cylinder(tuple(w), ctx, refine=40)
+            assert c.word == tuple(w)
+
     def test_partition(self, base25):
         # order-n cylinders tile [0, 1) in lexicographic order
         n, refine = 5, 30
