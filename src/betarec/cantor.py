@@ -157,6 +157,12 @@ class BlockPool:
         self.exclude = tuple(w for w in exclude if self._raw_contains(w))
         self._excluded = frozenset(self.exclude)
         self.size = self._g[0][(0, 0)] - len(self.exclude)
+        # how many excluded words begin with each prefix, the empty one included
+        self._excluded_prefixes: dict[Word, int] = {}
+        for w in self.exclude:
+            for k in range(self.M + 1):
+                self._excluded_prefixes[w[:k]] = self._excluded_prefixes.get(w[:k], 0) + 1
+        self._members: set[Word] = set()  # blocks proven members, at most size of them
 
     def _walk(self, word: Word) -> Optional[tuple[int, int]]:
         """The product state after word (at most M digits), None once it leaves."""
@@ -177,7 +183,13 @@ class BlockPool:
         return state is not None and state[1] == 0
 
     def __contains__(self, w: Word) -> bool:
-        return self._raw_contains(w) and w not in self._excluded
+        w = tuple(w)
+        if w in self._members:
+            return True
+        if self._raw_contains(w) and w not in self._excluded:
+            self._members.add(w)
+            return True
+        return False
 
     def count_with_prefix(self, prefix: Word) -> int:
         if len(prefix) > self.M:
@@ -185,9 +197,7 @@ class BlockPool:
         state = self._walk(prefix)
         if state is None:
             return 0
-        raw = self._g[len(prefix)][state]
-        hit = sum(1 for w in self._excluded if w[: len(prefix)] == prefix)
-        return raw - hit
+        return self._g[len(prefix)][state] - self._excluded_prefixes.get(tuple(prefix), 0)
 
     def _build_table(self) -> None:
         """One row per (position, product state) with completions left, and
@@ -710,7 +720,7 @@ def measure(plan: CantorPlan, w: Word) -> Fraction:
             cnt -= 1  # the zero block is not a valid seed
         return Fraction(max(cnt, 0), den)
     u = w[:M]
-    if not any(u) or not universe._raw_contains(u):
+    if not any(u) or u not in universe:
         return Fraction(0)
     pool = plan.pool_for(u)
     start = M

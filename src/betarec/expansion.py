@@ -35,7 +35,35 @@ d_1 .. d_m the exact state is rebuilt in one step,
     vec <- sum_i c_i [beta**(m+i)] - den sum_j d_j [beta**(m-j)],
 
 from the integer vectors [beta**k] of the base; where a margin fails, that
-one digit is taken by the certified floor.  On a Pisot base the state's
+one digit is taken by the certified floor.
+
+A block first takes its digits t at a time from the base's word table.
+The admissible words w_0 < ... < w_(N-1) of length t, in lexicographic
+order, have greedy cylinders [S(w_j), S(w_(j+1))) that tile [0, 1), with
+S(w) = sum_i w_i beta**-i and S(w_N) = 1 (Parry, Acta Math. Acad. Sci.
+Hung. 11, 1960), so the next t digits of x are w_j exactly when
+S(w_j) <= x < S(w_(j+1)).  The table holds L_j, the float nearest to an
+integer left end at scale 2**128 that lies within t (amax + 1) units of
+S(w_j), so |L_j - S(w_j)| <= u + 2**-90, and L_N = 1.0.  A step takes
+j = bisect_right(L, v) - 1 and accepts w_j only when e = err + eps lies
+below both v - L_j and L_(j+1) - v; eps = 4u covers |L_j - S(w_j)| and
+the rounding of the two differences and of e, so S(w_j) < x < S(w_(j+1)).
+With a = v - L_j as rounded, P the float nearest beta**t and
+dP >= |P - beta**t| + 3u (P + dP), the step sets
+
+    v <- a P,  err <- e (P + dP) + dP a + 4u,
+
+which bounds |beta**t (x - S(w_j)) - v|: beta**t |x - S(w_j) - a| is at
+most (P + dP)(e + u a), the product is off by |P - beta**t| a plus its
+rounding u P a, and 4u covers the rounding of the bound itself while
+err < 1/2.  A step whose margin fails hands the rest of the block to the
+per-digit loop above, and the floor is taken only where that loop fails.
+t is the largest length <= B with at most 2**12 admissible words, counted
+over the follower automaton's rows (2,584 words of length 16 for the
+golden ratio, 2 steps per block); a block runs floor(B / t) steps, then
+its last B mod t digits one at a time.  The resync takes each word from
+its integer vector [sum_i w_i beta**(t-1-i)], placed by the word's slot,
+instead of from its t digits.  On a Pisot base the state's
 coefficients stay bounded (Schmidt, "On periodic expansions of Pisot numbers
 and Salem numbers", Bull. LMS 12, 1980), so almost every digit is decided
 in floats; states too large for a float (over 900 bits) take the exact
@@ -45,9 +73,11 @@ per-digit path, which is where the coefficients of a non-Pisot base end up.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import getitem, mul
 from typing import Iterable, Optional, Union
 
 from .algebraic import (
@@ -151,6 +181,60 @@ class _RationalElement:
 
 _UNIT = 2.0 ** -53  # unit roundoff of a float64
 _FLOAT_BITS = 900  # states with a coefficient past this stay exact
+_TABLE_WORDS = 1 << 12  # the most admissible words a word table holds
+_WORD_EPS = 4.0 * _UNIT  # eps of the word steps (see the module notes)
+_WORD_SLACK = 4.0 * _UNIT  # the rounding of a word step's bound
+_LEFT_BITS = 128  # scale of the integer left ends the table's floats round from
+_AUTOMATON_DEPTH = 64  # the least depth symbolic.automaton_for builds to
+
+
+def _compact(values: list[int]):
+    """values as an array of 8-byte integers, or as they are past 64 bits."""
+    try:
+        return array("q", values)
+    except OverflowError:
+        return values
+
+
+def _word_lists(rows: list, t: int, steps: list[int],
+                basis: list[list[int]]) -> tuple[list[int], list[int], list[list[int]]]:
+    """The admissible words of length t in lexicographic order, as base-256
+    integers (a table has at most 2**12 words of length 2, so amax < 64),
+    with their left ends at scale 2**_LEFT_BITS and the coefficient lists
+    of their vectors [sum w_i beta**(t-1-i)].
+
+    rows[s] lists the (digit, next state) pairs allowed from state s, and
+    steps[i] is the scaled beta**-(i + 1).  suf[s] holds the words of
+    length n read from state s, as the last n digits of a length-t word:
+    digit d from s, then those of length n - 1 from its successor.  A
+    word's state after i digits is at most i, which bounds the states kept.
+    """
+    degree = len(basis[0])
+    suf = [([0], [0], [[0]] * degree)] * min(len(rows), t + 1)
+    for n in range(1, t + 1):
+        step, power, place = steps[t - n], basis[n - 1], 1 << (8 * (n - 1))
+        new = []
+        for state in range(min(len(rows), t - n + 1)):
+            words, lefts, cols = [], [], [[] for _ in range(degree)]
+            for d, nxt in rows[state]:
+                tail_words, tail_lefts, tail_cols = suf[nxt]
+                if d:
+                    shift = d * place
+                    words += [x + shift for x in tail_words]
+                    shift = d * step
+                    lefts += [x + shift for x in tail_lefts]
+                else:
+                    words += tail_words
+                    lefts += tail_lefts
+                for col, prev, c in zip(cols, tail_cols, power):
+                    if d and c:
+                        shift = d * c
+                        col += [x + shift for x in prev]
+                    else:
+                        col += prev
+            new.append((words, lefts, cols))
+        suf = new
+    return suf[0]
 
 
 class _FloatRun:
@@ -159,13 +243,23 @@ class _FloatRun:
     ``beta_f`` and ``dbeta`` come from ``BetaContext.beta_float_bound``;
     ``block`` is B.  ``state_cols[m][k]`` and ``digit_cols[k]`` hold the
     k-th coefficients of [beta**(m+i)] over i < degree and of [beta**j] over
-    j < B, the two sums of the resync.
+    j < B, the sums of the resync.  The word table holds the admissible
+    words of length ``word_len`` = t in lexicographic order as ``bytes``,
+    their left ends L as floats (``lefts``, with 1.0 appended), their
+    integer vectors [sum w_i beta**(t-1-i)] times [beta**(t i)] for each
+    word slot i < B / t of a block (``word_cols[k][i][j]`` is coefficient
+    k for word j), and ``_step``, what a word step reads: the left ends,
+    the words, their number, P, P + dP and dP.  t = 0 when there is no
+    table.
     """
 
     __slots__ = ("beta_f", "beta_up", "dbeta", "block", "powers", "power_errs",
-                 "state_cols", "digit_cols")
+                 "state_cols", "digit_cols", "word_len", "words", "lefts",
+                 "word_cols", "_step")
 
-    def __init__(self, beta_f: float, dbeta: float, block: int, poly: tuple[int, ...]):
+    def __init__(self, ctx: "BetaContext", block: int):
+        beta_f, dbeta = ctx.beta_float_bound()
+        poly = ctx.exact.poly
         degree = len(poly) - 1
         self.beta_f, self.dbeta, self.block = beta_f, dbeta, block
         self.beta_up = beta_f + dbeta
@@ -180,45 +274,125 @@ class _FloatRun:
             basis.append(multiply_by_root(basis[-1], poly))
         self.state_cols = [list(zip(*basis[m : m + degree])) for m in range(block + 1)]
         self.digit_cols = list(zip(*basis[:block]))
+        self.word_len, self.words, self.lefts, self.word_cols = 0, [], [1.0], []
+        self._build_word_table(ctx, basis)
 
-    @classmethod
-    def for_context(cls, ctx: "BetaContext") -> Optional["_FloatRun"]:
-        """The filter for ctx's algebraic base, or None when floats cannot
-        hold its states (beta at least 2**24, or powers out of range)."""
-        beta_f, dbeta = ctx.beta_float_bound()
+    @staticmethod
+    def block_for(ctx: "BetaContext") -> int:
+        """B for ctx's algebraic base, or 0 when floats cannot hold its
+        states (beta at least 2**24, or powers out of range)."""
+        beta_f, _ = ctx.beta_float_bound()
         degree = ctx.exact.degree
         if math.log2(beta_f) * (degree - 1) + math.log2(degree) > 100:
-            return None
+            return 0
         block = 0
         while block < 32 and beta_f ** (block + 1) < 2.0**24:
             block += 1
-        return cls(beta_f, dbeta, block, ctx.exact.poly) if block else None
+        return block
 
-    def start(self, vec: list[int], den: int) -> tuple[float, float]:
-        """(v, err) with |x - v| <= err for x = (sum vec[i] beta**i) / den.
+    @classmethod
+    def for_context(cls, ctx: "BetaContext") -> Optional["_FloatRun"]:
+        """The filter for ctx's algebraic base, or None when it has no block."""
+        block = cls.block_for(ctx)
+        return cls(ctx, block) if block else None
 
-        With A = sum |c_i| beta_f**i, the conversions, products, sums and the
-        division round by at most (4 degree + 4) u A / den in all, and the
-        powers of beta_f differ from those of beta by ``power_errs``; err is
-        twice that total.
-        """
-        acc = size = perr = 0.0
-        for c, pw, pe in zip(vec, self.powers, self.power_errs):
-            cf = float(c)
-            acc += cf * pw
-            cf = abs(cf)
-            size += cf * pw
-            perr += cf * pe
-        den_f = float(den)
-        bound = perr + (4 * len(vec) + 4) * _UNIT * size
-        # x >= 0, so a negative v moves to 0 with the same bound
-        return max(acc / den_f, 0.0), 2.0 * bound / den_f
+    @classmethod
+    def may_have_table(cls, ctx: "BetaContext") -> bool:
+        """Whether ctx's base can have a word table: t >= 2 needs B >= 2 and
+        at most 2**12 words of length 2, and every digit below amax can be
+        followed by any digit, so there are at least amax (amax + 1)."""
+        amax = ctx.alphabet_max
+        return cls.block_for(ctx) >= 2 and amax * (amax + 1) <= _TABLE_WORDS
 
-    def resync(self, vec: list[int], den: int, digits: list[int]) -> list[int]:
-        """The exact state after the greedy digits ``digits`` (at most B) from vec/den."""
+    def _build_word_table(self, ctx: "BetaContext", basis: list[list[int]]) -> None:
+        """The word table: t is the largest length <= B with at most
+        ``_TABLE_WORDS`` admissible words, counted over the follower
+        automaton's rows before any word is built; no table when t < 2."""
+        from .symbolic import automaton_for  # symbolic imports this module
+
+        auto = automaton_for(ctx, self.block)
+        rows = [[(d, s) for d, s in enumerate(auto.row(state)) if s is not None]
+                for state in range(min(auto.num_states, self.block + 1))]
+        counts, t = [1] + [0] * (len(rows) - 1), 0
+        for n in range(1, self.block + 1):
+            nxt = [0] * len(rows)
+            for state, c in enumerate(counts):
+                if c:
+                    for _, s in rows[state]:
+                        nxt[s] += c
+            if sum(nxt) > _TABLE_WORDS:
+                break
+            counts, t = nxt, n
+        if t < 2:
+            return
+        lo, hi = ctx.exact.bounds(ctx.precision_bits)
+        p, q = hi.numerator, hi.denominator
+        # steps[i] = floor(2**_LEFT_BITS / hi**(i + 1)), within t (amax + 1)
+        # units of 2**_LEFT_BITS beta**-(i + 1) over a whole word
+        steps = [(q**i << _LEFT_BITS) // p**i for i in range(1, t + 1)]
+        degree = len(basis[0])
+        words, lefts, vecs = _word_lists(rows, t, steps, basis)
+        self.words = words = [w.to_bytes(t, "big") for w in words]
+        scale = 2.0 ** -_LEFT_BITS
+        self.lefts = [float(x) * scale for x in lefts] + [1.0]
+        del lefts
+        # slot 0 holds the vectors, slot i their products with [beta**(t i)],
+        # whose coefficient k is sum_q a_q [beta**(t i + q)]_k
+        self.word_cols = [[_compact(a)] for a in vecs]
+        vecs = [slots[0] for slots in self.word_cols]  # and the lists go
+        for slot in range(1, self.block // t):
+            for k in range(degree):
+                col = [0] * len(words)
+                for q, a in enumerate(vecs):
+                    c = basis[t * slot + q][k]
+                    if c:
+                        col = [x + c * y for x, y in zip(col, a)]
+                self.word_cols[k].append(_compact(col))
+        # P is the float nearest lo**t, and dP >= |P - beta**t| + 3u (P + dP)
+        power_lo = lo**t
+        power = float(power_lo)
+        dp = 5.0 * _UNIT * power + 2.0 * float(hi**t - power_lo)
+        self._step = (self.lefts, words, len(words), power, power + dp, dp)
+        self.word_len = t
+
+    def word_steps(self, v: float, err: float, n: int, out: list[int],
+                   words: list[int]) -> tuple[float, float]:
+        """Up to n word steps from (v, err) with |x - v| <= err, stopping at
+        the first whose margin fails (see the module notes).  Each step
+        appends its word's digits to out and its index to words; the
+        returned (v, err) bound the state after them."""
+        lefts, table, last, power, power_up, dp = self._step
+        for _ in range(n):
+            j = bisect_right(lefts, v, 0, last) - 1
+            a = v - lefts[j]
+            e = err + _WORD_EPS
+            if not (e < a and e < lefts[j + 1] - v):
+                break
+            words.append(j)
+            out.extend(table[j])
+            v = a * power
+            err = e * power_up + dp * a + _WORD_SLACK
+        return v, err
+
+    def resync(self, vec: list[int], den: int, words: list[int],
+               digits: list[int]) -> list[int]:
+        """The exact state after the greedy digits of the table words
+        ``words`` (indices, in order) and then ``digits``, at most B in all,
+        from vec/den.  The words' digit sum W, read at their end, takes word
+        s from column slot len(words) - 1 - s; the m digits' sum is then
+        [beta**r] W plus that of the r digits."""
+        back = words[::-1]  # slot i holds the word i places from the end
+        r = len(digits)
+        m = self.word_len * len(words) + r
+        if not r:
+            return [sum(map(mul, vec, scol)) - den * sum(map(getitem, slots, back))
+                    for scol, slots in zip(self.state_cols[m], self.word_cols)]
+        w = [sum(map(getitem, slots, back)) for slots in self.word_cols]
         rev = digits[::-1]
-        return [sum(map(mul, vec, scol)) - den * sum(map(mul, rev, dcol))
-                for scol, dcol in zip(self.state_cols[len(digits)], self.digit_cols)]
+        return [sum(map(mul, vec, scol))
+                - den * (sum(map(mul, w, wcol)) + sum(map(mul, rev, dcol)))
+                for scol, wcol, dcol in zip(self.state_cols[m], self.state_cols[r],
+                                            self.digit_cols)]
 
 
 class _AlgebraicElement:
@@ -228,10 +402,12 @@ class _AlgebraicElement:
 
     Floors and signs are certified by ``floor_element`` against the root
     bracket, starting at ``bits``.  ``extend`` decides digits in floats
-    first, under the running bound err <- err (beta_f + dbeta) + dbeta |v|
-    + 2u (|w| + 1), and rebuilds vec once per block of B digits from the
-    integer vectors of the powers of beta; a digit whose margin fails, and
-    every digit of a state past 900 bits, goes through ``floor_element``.
+    first, a table word of t digits per step where the margins allow and
+    then one digit per step under the running bound err <- err (beta_f +
+    dbeta) + dbeta |v| + 2u (|w| + 1), and rebuilds vec once per block of
+    B digits from the integer vectors of the words and of the powers of
+    beta; a digit whose margin fails, and every digit of a state past 900
+    bits, goes through ``floor_element``.
     The state 0 is fixed, so its digits are zeros with no floor taken.
     """
 
@@ -258,21 +434,44 @@ class _AlgebraicElement:
         """Append the next k greedy digits to out, as k ``next_digit`` calls would."""
         run = self.ctx._float_run
         append = out.append
+        den = self.den  # no step changes it
+        if den.bit_length() > _FLOAT_BITS:
+            run = None
+        if run is not None:
+            block, t = run.block, run.word_len
+            powers, power_errs, den_f = run.powers, run.power_errs, float(den)
+            rounding = (4 * len(self.vec) + 4) * _UNIT
+            beta_f, beta_up, dbeta = run.beta_f, run.beta_up, run.dbeta
+            two_u = 2.0 * _UNIT
         while k > 0:
-            if not any(self.vec):  # every digit of 0 would fail its margin
+            vec = self.vec
+            top = max(map(abs, vec))
+            if not top:  # every digit of 0 would fail its margin
                 out.extend([0] * k)
                 return
-            if (run is None or self.den.bit_length() > _FLOAT_BITS
-                    or any(c.bit_length() > _FLOAT_BITS for c in self.vec)):
+            if run is None or top.bit_length() > _FLOAT_BITS:
                 for _ in range(k):
                     append(self.next_digit())
                 return
-            v, err = run.start(self.vec, self.den)
-            m = min(run.block, k)
-            beta_f, beta_up, dbeta = run.beta_f, run.beta_up, run.dbeta
-            two_u = 2.0 * _UNIT
+            # (v, err) with |x - v| <= err: with A = sum |c_i| beta_f**i, the
+            # conversions, products, sums and the division round by at most
+            # (4 degree + 4) u A / den in all, and the powers of beta_f differ
+            # from those of beta by power_errs; err is twice that total
+            acc = size = perr = 0.0
+            for c, pw, pe in zip(vec, powers, power_errs):
+                cf = float(c)
+                acc += cf * pw
+                cf = abs(cf)
+                size += cf * pw
+                perr += cf * pe
+            # x >= 0, so a negative v moves to 0 with the same bound
+            v, err = max(acc / den_f, 0.0), 2.0 * (perr + rounding * size) / den_f
+            m = min(block, k)
+            words = []
+            if t:
+                v, err = run.word_steps(v, err, m // t, out, words)
             first = len(out)
-            for _ in range(m):
+            for _ in range(m - t * len(words)):
                 # v >= 0 throughout, so w >= 0 and int() is the floor
                 w = beta_f * v
                 d = int(w)
@@ -282,9 +481,10 @@ class _AlgebraicElement:
                     break
                 append(d)
                 v = f
-            taken = len(out) - first
+            r = len(out) - first
+            taken = t * len(words) + r
             if taken:
-                self.vec = run.resync(self.vec, self.den, out[first:])
+                self.vec = run.resync(vec, den, words, out[first:] if r else ())
                 k -= taken
             if taken < m:
                 append(self.next_digit())
@@ -364,6 +564,11 @@ class BetaContext:
         self.alphabet_max = top - 1 if one.is_zero() else top
         if _star_period is not None:
             self._one_terminated = len(_star_period)
+        elif isinstance(exact, RootBracket) and _FloatRun.may_have_table(self):
+            # the float run's word table is built from the follower
+            # automaton, which reads one digit of 1 past its depth; reading
+            # them here keeps their certified floors out of the first orbit's
+            self._extend_one_digits(_AUTOMATON_DEPTH + 1)
 
     # -- constructors --------------------------------------------------------
 

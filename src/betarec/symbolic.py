@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .expansion import (
+    _AUTOMATON_DEPTH,
     BetaContext,
     Word,
     _horner_ends,
@@ -75,7 +76,7 @@ class FollowerAutomaton:
     def __init__(self, ctx: BetaContext, depth: int):
         self.ctx = ctx
         self.depth = depth
-        ctx.eps_star(min(depth, 64) + 1)  # may discover termination cheaply
+        ctx.eps_star(min(depth, _AUTOMATON_DEPTH) + 1)  # may discover termination cheaply
         if ctx.simple_parry is None:
             ctx.eps_star(depth + 1)
         period = ctx._star_period
@@ -128,7 +129,7 @@ def automaton_for(ctx: BetaContext, depth: int) -> FollowerAutomaton:
     cached = getattr(ctx, "_follower_cache", None)
     if cached is not None and (cached.period is not None or cached.depth >= depth):
         return cached
-    auto = FollowerAutomaton(ctx, max(depth, 64))
+    auto = FollowerAutomaton(ctx, max(depth, _AUTOMATON_DEPTH))
     ctx._follower_cache = auto
     return auto
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -131,6 +132,21 @@ class TestBlockPool:
             total = sum(pool.count_with_prefix(prefix + (c,))
                         for c in range(plan25.trunc_ctx.alphabet_max + 1))
             assert total == pool.count_with_prefix(prefix)
+
+    def test_membership_memo_keeps_only_members(self, base25):
+        trunc = approximate_beta(base25, 2)
+        pool = BlockPool(trunc, base25, 3, exclude=tuple(_rotations((1, 0, 0))))
+        words = list(itertools.product(range(3), repeat=3))
+        first = [w in pool for w in words]
+        assert sum(first) == pool.size == len(pool._members) == 9
+        assert not pool._members & set(pool.exclude)
+        # a second pass answers members from the memo, and lists as tuples
+        assert [w in pool for w in words] == first == [list(w) in pool for w in words]
+        # prefix counts leave out the excluded words that begin with the prefix
+        for k in range(4):
+            for prefix in itertools.product(range(3), repeat=k):
+                assert pool.count_with_prefix(prefix) == pool.count_with_prefix(list(prefix)) \
+                    == sum(1 for w, ok in zip(words, first) if ok and w[:k] == prefix)
 
     def test_sampling_uniform(self, base25, plan25):
         pool = plan25.pool_for(plan25.seed_word)

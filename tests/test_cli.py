@@ -392,7 +392,7 @@ class TestReadmeCommands:
                                                               monkeypatch):
         monkeypatch.delenv("BETAREC_PRECISION_BITS", raising=False)
         commands = readme_commands()
-        assert len(commands) == 16
+        assert len(commands) == 17
         checked = 0
         for argv, comment in commands:
             code = main(argv)
@@ -411,4 +411,4 @@ class TestReadmeCommands:
             else:
                 assert expected in shown, (argv, shown)
             checked += 1
-        assert checked == 6
+        assert checked == 7

@@ -9,7 +9,8 @@ be reassigned.  The pins fix the floats of beta, a digest of the golden
 cylinders that acceptance criterion 4 checks, criterion 10's box counts,
 a point of criterion 6's plan past its last level, and the README's
 ``dim boxcount``, ``cantor sample``, ``cantor measure`` and ``exponents``
-envelopes; the last prints the whole lambda series.
+envelopes (the last prints the whole lambda series), and the 4,000-digit
+orbit streams of criterion 9's golden points and of points on x^3 - x - 1.
 """
 
 import hashlib
@@ -205,3 +206,19 @@ def test_readme_exponents_envelope_digest(capsys):
     assert main(shlex.split("exponents --beta 2.5 --x 0.7137 --N 2000")) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == README_EXPONENTS_DIGEST
+
+
+# recorded before orbit digits were taken a table word at a time
+ORBIT_STREAMS_DIGEST = "db8de5a302f13eea22a2e7b3a3f52691b5f4441d96c08a427057b5815b12c8b9"
+
+
+def test_orbit_digit_streams_digest():
+    # criterion 9's first 20 golden points, then 3 points on x^3 - x - 1
+    h = hashlib.sha256()
+    for ctx, seed, count in ((BetaContext.golden(), 77, 20),
+                             (BetaContext.from_root(CUBIC, 1, 2), 9, 3)):
+        rng = random.Random(seed)
+        for _ in range(count):
+            x = Fraction(rng.getrandbits(64), 1 << 64)
+            h.update(bytes(OrbitView.from_point(ctx, x).digits(4000)))
+    assert h.hexdigest() == ORBIT_STREAMS_DIGEST

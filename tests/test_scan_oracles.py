@@ -32,9 +32,12 @@ the digits a view ends up holding, and comparison signs must be equal.
 
 The digit-stream oracle is the per-digit ``next_digit`` loop that
 ``extend`` replaced, with a certified floor for every digit; the digits and
-the exact state left behind must be equal.  The rational cylinder oracle is
-the two word sums, subtracted in Fractions, that the cached per-state tail
-replaced; the cylinders must be equal.
+the exact state left behind must be equal.  The word-step oracle is the
+float loop that took every digit of a block one at a time and resynced from
+its digits, which the word table's steps replaced; digits and exact states
+must be equal, and the bound of every word step must hold exactly.  The
+rational cylinder oracle is the two word sums, subtracted in Fractions,
+that the cached per-state tail replaced; the cylinders must be equal.
 
 The language oracles are the per-digit KMP walk that the follower
 automaton's transition table replaced, and the block pool that stepped both
@@ -68,6 +71,7 @@ import random
 import time
 from bisect import bisect_right
 from fractions import Fraction
+from operator import mul
 from unittest import mock
 
 import numpy as np
@@ -119,6 +123,7 @@ from betarec.symbolic import (
     Cylinder,
     FollowerAutomaton,
     automaton_for,
+    count_admissible,
     cylinder,
     enumerate_admissible,
 )
@@ -1518,7 +1523,131 @@ def count_floors(monkeypatch):
     return calls
 
 
+def oracle_float_start(run, vec, den):
+    """(v, err) with |x - v| <= err for x = (sum vec[i] beta**i) / den, as
+    the float run's block start computed it before it moved into ``extend``."""
+    acc = size = perr = 0.0
+    for c, pw, pe in zip(vec, run.powers, run.power_errs):
+        cf = float(c)
+        acc += cf * pw
+        cf = abs(cf)
+        size += cf * pw
+        perr += cf * pe
+    bound = perr + (4 * len(vec) + 4) * 2.0**-53 * size
+    return max(acc / float(den), 0.0), 2.0 * bound / float(den)
+
+
+def oracle_float_extend(element, out, k):
+    """The float loop that the word steps replaced: ``extend`` with each
+    block's digits decided one at a time and the exact state rebuilt from
+    those digits."""
+    run = element.ctx._float_run
+    while k > 0:
+        if not any(element.vec):
+            out.extend([0] * k)
+            return
+        if (run is None or element.den.bit_length() > 900
+                or any(c.bit_length() > 900 for c in element.vec)):
+            out.extend(element.next_digit() for _ in range(k))
+            return
+        v, err = oracle_float_start(run, element.vec, element.den)
+        m = min(run.block, k)
+        first = len(out)
+        for _ in range(m):
+            w = run.beta_f * v
+            d = int(w)
+            f = w - d
+            err = err * run.beta_up + run.dbeta * v + 2.0 * 2.0**-53 * (w + 1.0)
+            if not err < f < 1.0 - err:
+                break
+            out.append(d)
+            v = f
+        taken = len(out) - first
+        if taken:
+            rev = out[first:][::-1]
+            element.vec = [sum(map(mul, element.vec, scol))
+                           - element.den * sum(map(mul, rev, dcol))
+                           for scol, dcol in zip(run.state_cols[taken], run.digit_cols)]
+            k -= taken
+        if taken < m:
+            out.append(element.next_digit())
+            k -= 1
+
+
+def table_bases():
+    bases = stream_bases()
+    bases["golden N=3"] = approximate_beta(bases["golden"], 3)
+    return bases
+
+
+def element_within(element, v, err):
+    """Whether |x - v| <= err for the element's exact x, decided exactly."""
+    for end, sign in ((Fraction(v) - Fraction(err), 1), (Fraction(v) + Fraction(err), -1)):
+        diff = list(element.vec)
+        diff[0] -= element.den * end
+        if oracle_element_sign(diff, element.root) * sign < 0:
+            return False
+    return True
+
+
 class TestDigitStreams:
+    def test_word_steps_match_the_per_digit_float_loop(self):
+        rng = random.Random(107)
+        for name, ctx in table_bases().items():
+            run = ctx._float_run
+            t, block = run.word_len, run.block
+            for n in (t - 1, t, t + 1, block - 1, block, block + 1, 2 * block + t + 3, 4000):
+                x = Fraction(rng.getrandbits(64), 1 << 64)
+                ours, ref = orbit_digit_stream(ctx, x), orbit_digit_stream(ctx, x)
+                out, expect = [], []
+                ours.extend(out, n)
+                oracle_float_extend(ref, expect, n)
+                assert out == expect, (name, x, n)
+                assert element_state(ours) == element_state(ref), (name, x, n)
+                pieces, got = orbit_digit_stream(ctx, x), []
+                while len(got) < n:
+                    pieces.extend(got, min(rng.randrange(0, 2 * block + t), n - len(got)))
+                assert got == out, (name, x, n)
+                assert element_state(pieces) == element_state(ours), (name, x, n)
+
+    def test_word_table_is_the_admissible_words(self):
+        sizes = {name: (ctx._float_run.word_len, len(ctx._float_run.words))
+                 for name, ctx in table_bases().items()}
+        assert sizes == {"golden": (16, 2584), "x^3-x-1": (28, 4085), "x^2-3x+1": (8, 2584),
+                         "x^2-5x+5": (6, 2566), "golden N=3": (21, 4023)}
+        bound = Fraction(1, 2**53) + Fraction(1, 2**90)
+        for name, ctx in table_bases().items():
+            run = ctx._float_run
+            t = run.word_len
+            # the longest length up to B with at most 2**12 words
+            assert t == run.block or count_admissible(ctx, t + 1) > 1 << 12, name
+            words = [tuple(w) for w in run.words]
+            assert words == list(enumerate_admissible(ctx, t)), name
+            lefts = run.lefts
+            assert lefts[0] == 0.0 and lefts[-1] == 1.0 and len(lefts) == len(words) + 1
+            assert all(a < b for a, b in zip(lefts, lefts[1:])), name
+            for w, left in zip(words, lefts):
+                s = word_sum_bounds(w, ctx)
+                assert s.lo - bound <= Fraction(left) <= s.hi + bound, (name, w)
+
+    def test_word_step_bounds_the_exact_state(self):
+        rng = random.Random(108)
+        for name, ctx in table_bases().items():
+            run = ctx._float_run
+            for _ in range(6):
+                exact = orbit_digit_stream(ctx, Fraction(rng.getrandbits(64), 1 << 64))
+                v, err = oracle_float_start(run, exact.vec, exact.den)
+                out, words = [], []
+                # no resync: err grows by beta**t a step until a margin fails
+                while True:
+                    taken = len(words)
+                    v, err = run.word_steps(v, err, 1, out, words)
+                    if len(words) == taken:
+                        break
+                    assert oracle_digit_stream(exact, run.word_len) == list(run.words[words[-1]])
+                    assert element_within(exact, v, err), (name, len(words))
+                assert len(words) >= 2, name
+
     def test_random_points_match_the_per_digit_loop(self):
         rng = random.Random(101)
         for name, ctx in stream_bases().items():
