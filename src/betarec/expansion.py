@@ -185,7 +185,6 @@ _TABLE_WORDS = 1 << 12  # the most admissible words a word table holds
 _WORD_EPS = 4.0 * _UNIT  # eps of the word steps (see the module notes)
 _WORD_SLACK = 4.0 * _UNIT  # the rounding of a word step's bound
 _LEFT_BITS = 128  # scale of the integer left ends the table's floats round from
-_AUTOMATON_DEPTH = 64  # the least depth symbolic.automaton_for builds to
 
 
 def _compact(values: list[int]):
@@ -290,29 +289,16 @@ class _FloatRun:
             block += 1
         return block
 
-    @classmethod
-    def for_context(cls, ctx: "BetaContext") -> Optional["_FloatRun"]:
-        """The filter for ctx's algebraic base, or None when it has no block."""
-        block = cls.block_for(ctx)
-        return cls(ctx, block) if block else None
-
-    @classmethod
-    def may_have_table(cls, ctx: "BetaContext") -> bool:
-        """Whether ctx's base can have a word table: t >= 2 needs B >= 2 and
-        at most 2**12 words of length 2, and every digit below amax can be
-        followed by any digit, so there are at least amax (amax + 1)."""
-        amax = ctx.alphabet_max
-        return cls.block_for(ctx) >= 2 and amax * (amax + 1) <= _TABLE_WORDS
-
     def _build_word_table(self, ctx: "BetaContext", basis: list[list[int]]) -> None:
         """The word table: t is the largest length <= B with at most
         ``_TABLE_WORDS`` admissible words, counted over the follower
-        automaton's rows before any word is built; no table when t < 2."""
-        from .symbolic import automaton_for  # symbolic imports this module
-
-        auto = automaton_for(ctx, self.block)
-        rows = [[(d, s) for d, s in enumerate(auto.row(state)) if s is not None]
-                for state in range(min(auto.num_states, self.block + 1))]
+        automaton's rows before any word is built; no table when t < 2.
+        Row s reads e_s alone (``symbolic.FollowerAutomaton``), and a word of
+        length <= B reaches states up to B, so B + 1 digits of 1 give them."""
+        digits = ctx.eps_star(self.block + 1)
+        m = ctx.simple_parry
+        rows = [[(d, 0) for d in range(e)] + [(e, (s + 1) % m if m else s + 1)]
+                for s, e in enumerate(digits[:m])]
         counts, t = [1] + [0] * (len(rows) - 1), 0
         for n in range(1, self.block + 1):
             nxt = [0] * len(rows)
@@ -540,14 +526,11 @@ class BetaContext:
         self,
         exact: Union[Fraction, RootBracket],
         precision_bits: int = DEFAULT_PRECISION_BITS,
-        _star_period: Optional[Word] = None,
     ):
         self.exact = exact
         self._precision_bits = max(64, precision_bits)
         self._one_digits: list[int] = []
-        self._one_stream = None
-        self._one_terminated: Optional[int] = None
-        self._star_period: Optional[Word] = _star_period
+        self._star_period: Optional[Word] = None
         # cylinder geometry per (follower state, refine, n), see symbolic.cylinder
         self._cylinder_tails: dict[tuple[int, int, int], object] = {}
         if isinstance(exact, RootBracket) and exact.degree < 2:
@@ -558,17 +541,16 @@ class BetaContext:
         beta_f = float(bounds.center)
         exact_f = Fraction(beta_f)
         self._float_view = (beta_f, 2.0 * float(max(exact_f - bounds.lo, bounds.hi - exact_f)))
-        # ceil(beta) - 1 is floor(beta), unless beta is that integer exactly
-        one = self._element(1)
-        top = one.next_digit()
-        self.alphabet_max = top - 1 if one.is_zero() else top
-        if _star_period is not None:
-            self._one_terminated = len(_star_period)
-        elif isinstance(exact, RootBracket) and _FloatRun.may_have_table(self):
-            # the float run's word table is built from the follower
-            # automaton, which reads one digit of 1 past its depth; reading
+        # every digit of 1 comes from this one stream; the first fixes the
+        # alphabet: ceil(beta) - 1 is floor(beta), unless beta is that integer
+        self._one = self._element(1)
+        self._extend_one_digits(1)
+        top = self._one_digits[0]
+        self.alphabet_max = top - 1 if self.simple_parry == 1 else top
+        if isinstance(exact, RootBracket):
+            # the float run's word table reads B + 1 digits of 1; reading
             # them here keeps their certified floors out of the first orbit's
-            self._extend_one_digits(_AUTOMATON_DEPTH + 1)
+            self._extend_one_digits(_FloatRun.block_for(self) + 1)
 
     # -- constructors --------------------------------------------------------
 
@@ -646,48 +628,40 @@ class BetaContext:
         """The float digit filter of an algebraic base, built on first use."""
         if isinstance(self.exact, Fraction):
             return None
-        return _FloatRun.for_context(self)
+        block = _FloatRun.block_for(self)
+        return _FloatRun(self, block) if block else None
 
     def _extend_one_digits(self, n: int) -> None:
-        if self._one_terminated is not None:
-            return
-        if self._one_stream is None:
-            self._one_stream = self._element(1)
-        while len(self._one_digits) < n:
-            self._one_digits.append(self._one_stream.next_digit())
-            if self._one_stream.is_zero():
-                self._one_terminated = len(self._one_digits)
+        while self._star_period is None and len(self._one_digits) < n:
+            self._one_digits.append(self._one.next_digit())
+            if self._one.is_zero():
                 digits = self._one_digits
                 if digits[-1] == 0:
                     raise AssertionError("terminating expansion must end in a nonzero digit")
                 self._star_period = tuple(digits[:-1]) + (digits[-1] - 1,)
-                return
 
     def detect_simple_parry(self, depth: int) -> Optional[int]:
         """Return m when the expansion of 1 terminates at step m <= depth.
 
         A None answer is inconclusive for larger depths, not a proof.
         """
-        if self._star_period is not None and self._one_terminated is not None:
-            m = self._one_terminated
-            return m if m <= depth else None
         try:
             self._extend_one_digits(depth)
         except PrecisionError as exc:
             raise DigitIndeterminateError("inconclusive at available precision") from exc
-        m = self._one_terminated
+        m = self.simple_parry
         return m if (m is not None and m <= depth) else None
 
     @property
     def simple_parry(self) -> Optional[int]:
-        return self._one_terminated
+        """m when the expansion of 1 is known to end at digit m, else None."""
+        return None if self._star_period is None else len(self._star_period)
 
     def eps_star(self, n: int) -> Word:
         """First n digits of the infinite expansion of 1 (periodic rewrite applied)."""
         if n < 0:
             raise ValueError("n must be non-negative")
-        if self._star_period is None:
-            self._extend_one_digits(n)
+        self._extend_one_digits(n)
         if self._star_period is not None:
             period = self._star_period
             reps = -(-n // len(period)) if n else 0
@@ -863,8 +837,12 @@ def approximate_beta(ctx: BetaContext, N: int) -> BetaContext:
     """Base whose expansion of 1 is the length-N truncation of this one's.
 
     The new base is the unique root above 1 of x^N = sum(e_i x^(N-i)) where
-    (e_1, ..., e_N) is the truncated digit sequence; its infinite expansion
-    of 1 is (e_1, ..., e_N - 1) repeated, which is installed directly.
+    (e_1, ..., e_N) is the truncated digit sequence.  By Parry (Acta Math.
+    Acad. Sci. Hung. 11, 1960) that truncation is its expansion of 1, which
+    the new context reads itself.  The root is the integer e_1 at N = 1 and
+    never an integer k for N >= 2: e_N >= 1 forces e_1 <= k - 1, and as
+    every e_i <= e_1, sum_(i>=2) e_i k**-i <= (k - 1) sum_(i=2..N) k**-i
+    < 1/k <= 1 - e_1/k, against 1 = sum e_i k**-i.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -873,6 +851,8 @@ def approximate_beta(ctx: BetaContext, N: int) -> BetaContext:
         raise ValueError("invalid truncation index")
     if sum(prefix) < 2:
         raise ValueError("truncation too short")
+    if N == 1:
+        return BetaContext(Fraction(prefix[0]), ctx.precision_bits)
     poly = [0] * (N + 1)
     poly[N] = 1
     for i, e in enumerate(prefix, start=1):
@@ -881,13 +861,7 @@ def approximate_beta(ctx: BetaContext, N: int) -> BetaContext:
     hi = ctx.beta_bounds().hi
     if poly_eval(poly, hi) <= 0:
         hi = hi + 1
-    # integer roots are the only rational roots a monic polynomial can have
-    for k in range(2, int(hi) + 2):
-        if poly_eval(poly, Fraction(k)) == 0:
-            return BetaContext(Fraction(k), ctx.precision_bits,
-                               _star_period=prefix[:-1] + (prefix[-1] - 1,))
-    return BetaContext(RootBracket(poly, Fraction(1), hi), ctx.precision_bits,
-                       _star_period=prefix[:-1] + (prefix[-1] - 1,))
+    return BetaContext(RootBracket(poly, Fraction(1), hi), ctx.precision_bits)
 
 
 def eps_star(ctx: BetaContext, n: int) -> Word:

@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .expansion import (
-    _AUTOMATON_DEPTH,
     BetaContext,
     Word,
     _horner_ends,
@@ -31,6 +30,8 @@ from .expansion import (
     word_value_fraction,
 )
 from .numerics import BoundedReal
+
+_AUTOMATON_DEPTH = 64  # the least depth automaton_for builds to
 
 
 def lex_compare(a: Word, b: Word) -> int:
@@ -76,9 +77,7 @@ class FollowerAutomaton:
     def __init__(self, ctx: BetaContext, depth: int):
         self.ctx = ctx
         self.depth = depth
-        ctx.eps_star(min(depth, _AUTOMATON_DEPTH) + 1)  # may discover termination cheaply
-        if ctx.simple_parry is None:
-            ctx.eps_star(depth + 1)
+        digits = ctx.eps_star(depth + 1)  # reading stops where the expansion of 1 ends
         period = ctx._star_period
         if period is not None:
             m = len(period)
@@ -89,7 +88,7 @@ class FollowerAutomaton:
             self.pattern = list(period)
         else:
             self.period = None
-            self.pattern = list(ctx.eps_star(depth + 1))
+            self.pattern = list(digits)
 
     @property
     def num_states(self) -> int:

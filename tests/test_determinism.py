@@ -222,3 +222,43 @@ def test_orbit_digit_streams_digest():
             x = Fraction(rng.getrandbits(64), 1 << 64)
             h.update(bytes(OrbitView.from_point(ctx, x).digits(4000)))
     assert h.hexdigest() == ORBIT_STREAMS_DIGEST
+
+
+def truncations():
+    """(parent, N, approximate_beta(parent, N)) for every N <= 14 where the
+    parent's expansion of 1 has e_N > 0 and digit sum at least 2, on three
+    algebraic and three rational parents."""
+    parents = [BetaContext.golden(), BetaContext.from_root(CUBIC, 1, 2),
+               BetaContext.from_root((1, -3, 1), 2, 3)]
+    parents += [BetaContext.from_value(v) for v in ("2.5", "7/5", "19/2")]
+    for parent in parents:
+        for N in range(1, 15):
+            prefix = parent.eps_star(N)
+            if prefix[-1] and sum(prefix) >= 2:
+                yield parent, N, approximate_beta(parent, N)
+
+
+def test_truncations_read_their_own_expansion_of_one():
+    # 1 = sum e_i beta_N**-i (Parry): the N-prefix is the truncation's
+    # expansion of 1, which ends at N; the base is the rational e_1 at N = 1
+    count = 0
+    for parent, N, ctx in truncations():
+        prefix = parent.eps_star(N)
+        assert ctx.eps_star(3 * N) == (prefix[:-1] + (prefix[-1] - 1,)) * 3, (parent.describe(), N)
+        assert ctx.simple_parry == N
+        assert ctx.beta_fraction == (prefix[0] if N == 1 else None)
+        count += 1
+    assert count == 43
+
+
+# recorded when truncations were handed their period by approximate_beta
+TRUNCATION_DIGEST = "43fedd0b7446fd0de284fbf0c68cc767e955eae3b81fde437143f3811704a8a8"
+
+
+def test_truncation_digest():
+    h = hashlib.sha256()
+    for _, N, ctx in truncations():
+        f, d = ctx.beta_float_bound()
+        h.update(repr((ctx.eps_star(2 * N + 1), ctx.simple_parry, ctx.alphabet_max,
+                       f.hex(), d.hex())).encode())
+    assert h.hexdigest() == TRUNCATION_DIGEST

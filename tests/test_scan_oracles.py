@@ -1047,8 +1047,7 @@ def at_bits(ctx, bits):
     """A fresh context for ctx's base at working precision bits (None: the
     default), sharing its root bracket; the constructor clamps bits to at
     least 64."""
-    return BetaContext(ctx.exact, bits or DEFAULT_PRECISION_BITS,
-                       _star_period=ctx._star_period)
+    return BetaContext(ctx.exact, bits or DEFAULT_PRECISION_BITS)
 
 
 def kernel_bases():
@@ -1611,12 +1610,17 @@ class TestDigitStreams:
                 assert element_state(pieces) == element_state(ours), (name, x, n)
 
     def test_word_table_is_the_admissible_words(self):
+        bases = table_bases()
+        # B = 7 and its expansion of 1 ends at 12, past the B + 1 digits the table reads
+        bases["19/2 N=12"] = approximate_beta(BetaContext.from_value("19/2"), 12)
         sizes = {name: (ctx._float_run.word_len, len(ctx._float_run.words))
-                 for name, ctx in table_bases().items()}
+                 for name, ctx in bases.items()}
         assert sizes == {"golden": (16, 2584), "x^3-x-1": (28, 4085), "x^2-3x+1": (8, 2584),
-                         "x^2-5x+5": (6, 2566), "golden N=3": (21, 4023)}
+                         "x^2-5x+5": (6, 2566), "golden N=3": (21, 4023),
+                         "19/2 N=12": (3, 903)}
+        assert bases["19/2 N=12"]._float_run.block == 7
         bound = Fraction(1, 2**53) + Fraction(1, 2**90)
-        for name, ctx in table_bases().items():
+        for name, ctx in bases.items():
             run = ctx._float_run
             t = run.word_len
             # the longest length up to B with at most 2**12 words
@@ -1717,6 +1721,21 @@ class TestDigitStreams:
                 assert floors >= 1, (name, k)
                 if name == "x^3-x-1" or k <= 9:
                     assert floors == 1, (name, k)
+
+    def test_construction_reads_each_digit_of_1_once(self, monkeypatch):
+        # the first digit of 1 fixes the alphabet and the float run's word
+        # table reads B + 1 digits, all from one stream that stops where the
+        # expansion ends: golden at 2, x^3-x-1 at 5; B = 17 and 12 otherwise
+        calls = count_floors(monkeypatch)
+        floors = {}
+        for name, build in (("golden", BetaContext.golden),
+                            ("x^3-x-1", lambda: BetaContext.from_root(CUBIC, 1, 2)),
+                            ("x^2-3x+1", lambda: BetaContext.from_root((1, -3, 1), 2, 3)),
+                            ("x^2-5x+5", lambda: BetaContext.from_root((5, -5, 1), 3, 4))):
+            del calls[:]
+            build()
+            floors[name] = len(calls)
+        assert floors == {"golden": 2, "x^3-x-1": 5, "x^2-3x+1": 18, "x^2-5x+5": 13}
 
     def test_pisot_points_rarely_need_the_floor(self, monkeypatch):
         bases = stream_bases()
