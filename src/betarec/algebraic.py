@@ -5,11 +5,11 @@ computation: points of the orbit are elements of Q(beta), stored as integer
 coefficient vectors over a shared denominator in the basis 1, beta, ...,
 beta^(d-1).
 
-The root is held by a ``RootBracket`` that never changes: an enclosure of
-the root at a precision of ``bits`` is the first bracket of width
-<= 2**-bits that bisection of the isolating bracket reaches, so it depends
-only on the polynomial, the isolating bracket and ``bits``, never on what
-was read before.
+The root is held by a ``RootBracket`` that never changes: an enclosure of the
+root at a precision of ``bits`` is the first bracket of width <= 2**-bits that
+bisection of the isolating bracket reaches, so it depends only on the
+polynomial, the isolating bracket and ``bits``, never on what was read before.
+It is computed directly, as a grid cell that two exact sign tests certify.
 
 ``floor_element`` is the one certified decision over such elements.  It
 evaluates the element on the root's enclosure, doubling the precision until
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .numerics import BoundedReal, bisect_root_bounds
+from .numerics import BoundedReal
 
 PRECISION_CAP_BITS = 1 << 16
 
@@ -37,12 +37,36 @@ class PrecisionError(ArithmeticError):
     """Raised when a certified floor is still undecided at the precision cap."""
 
 
-def poly_eval(coeffs: tuple[int, ...], x: Fraction) -> Fraction:
-    """Evaluate sum(coeffs[i] * x**i) by Horner's rule."""
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
+def scaled_value(coeffs: tuple[int, ...], num: int, den: int) -> int:
+    """den**d * sum(coeffs[i] * (num/den)**i) for d = len(coeffs) - 1, exact;
+    for den > 0 it has the sign of the polynomial at num/den."""
+    acc, scale = coeffs[-1], 1
+    for c in reversed(coeffs[:-1]):
+        scale *= den
+        acc = acc * num + c * scale
     return acc
+
+
+def _newton(poly: tuple[int, ...], x: Fraction, bits: int) -> Fraction:
+    """Newton's method for a root of poly from x, to about 2**-bits with no
+    guarantee.  On integers at scale 2**p the step x - p(x)/p'(x) is
+    X - (2**(p*d) p(x)) // (2**(p*(d-1)) p'(x)); p starts at 64 and grows
+    to about twice the bits that a step leaves settled."""
+    slope_poly = tuple(i * c for i, c in enumerate(poly))[1:]
+    p = 64
+    x = (x * (1 << p)).__floor__()
+    for _ in range(4 * bits.bit_length() + 64):
+        slope = scaled_value(slope_poly, x, 1 << p)
+        if slope == 0:
+            break
+        step = scaled_value(poly, x, 1 << p) // slope
+        x -= step
+        settled = 2 * (p - abs(step).bit_length()) - 8
+        if settled > p:
+            if p >= bits:
+                break
+            x, p = x << (min(settled, bits) - p), min(settled, bits)
+    return Fraction(x, 1 << p)
 
 
 def multiply_by_root(vec: list[int], poly: tuple[int, ...]) -> list[int]:
@@ -65,9 +89,9 @@ class RootBracket:
     """An isolating rational bracket [lo, hi] for the unique root of poly inside it.
 
     The endpoints carry opposite signs of poly, or are both the root, and
-    never change after construction.  ``bounds(bits)`` bisects [lo, hi] to
-    width 2**-bits; the bisection sequence is unique, so every enclosure and
-    power bound read from it is a function of bits alone.
+    never change after construction.  ``bounds(bits)`` is the bisection of
+    [lo, hi] to width 2**-bits; the bisection sequence is unique, so every
+    enclosure and power bound read from it is a function of bits alone.
     """
 
     poly: tuple[int, ...]
@@ -79,8 +103,8 @@ class RootBracket:
     def __post_init__(self):
         if self.poly[-1] != 1:
             raise ValueError("polynomial must be monic")
-        slo = poly_eval(self.poly, self.lo)
-        shi = poly_eval(self.poly, self.hi)
+        slo = scaled_value(self.poly, self.lo.numerator, self.lo.denominator)
+        shi = scaled_value(self.poly, self.hi.numerator, self.hi.denominator)
         if slo == 0:
             self.hi = self.lo
         elif shi == 0:
@@ -95,19 +119,44 @@ class RootBracket:
     def bounds(self, bits: int) -> tuple[Fraction, Fraction]:
         """The first bracket of width <= 2**-bits in the bisection of [lo, hi].
 
-        Bisection resumes from the bracket of the largest memoized bits
-        below this one, which lies earlier on the same sequence.
+        For w = hi - lo and the least k with w/2**k <= 2**-bits, that is the
+        cell [lo + j*w/2**k, lo + (j+1)*w/2**k] of the root, or (root, root)
+        when bisection meets the root as a grid point.  Past 64 bits Newton's
+        method from the 64-bit bracket guesses j and the strict signs of poly
+        at the cell's ends certify it; else a search over j with the same
+        exact signs, galloping from the guess, then halving, finds the cell.
         """
         cached = self._bounds.get(bits)
         if cached is None:
-            width = Fraction(1, 1 << bits)
-            coarser = max((b for b in self._bounds if b < bits), default=None)
-            lo, hi = self._bounds.get(coarser, (self.lo, self.hi))
-            if hi - lo > width:  # else already narrow enough, or degenerate
-                lo, hi = bisect_root_bounds(
-                    lambda x: poly_eval(self.poly, x), lo, hi, width / 2)
-            cached = self._bounds[bits] = (lo, hi)
+            cached = self._bounds[bits] = self._cell(bits)
         return cached
+
+    def _cell(self, bits: int) -> tuple[Fraction, Fraction]:
+        lo, hi = self.lo, self.hi
+        width = hi - lo
+        k = (-(-(width.numerator << bits) // width.denominator) - 1).bit_length()
+        if lo == hi or k == 0:  # degenerate, or already narrow enough
+            return lo, hi
+        # grid point m is (start + m * cell) / den; poly(left) ~ lo, poly(right) ~ hi
+        den = lo.denominator * width.denominator << k
+        start, cell = lo.numerator * width.denominator << k, lo.denominator * width.numerator
+        increasing = scaled_value(self.poly, hi.numerator, hi.denominator) > 0
+        left, right, m, step = 0, 1 << k, 0, 0  # step 0: halve from the start
+        if bits > 64:
+            x = _newton(self.poly, self.bounds(64)[0], bits + 8)
+            m, step = ((x - lo) * (1 << k) / width).__floor__(), 1
+        while right - left > 1:
+            if not left < m < right:
+                m, step = (left + right) >> 1, 0
+            value = scaled_value(self.poly, start + m * cell, den)
+            if value == 0:
+                return Fraction(start + m * cell, den), Fraction(start + m * cell, den)
+            if (value > 0) == increasing:
+                right, m = m, m - step
+            else:
+                left, m = m, m + step
+            step *= 2
+        return Fraction(start + left * cell, den), Fraction(start + right * cell, den)
 
     def interval(self, bits: int) -> BoundedReal:
         return BoundedReal.from_endpoints(*self.bounds(bits))

@@ -85,7 +85,7 @@ from .algebraic import (
     RootBracket,
     floor_element,
     multiply_by_root,
-    poly_eval,
+    scaled_value,
 )
 from .numerics import BoundedReal, _as_fraction
 
@@ -859,7 +859,7 @@ def approximate_beta(ctx: BetaContext, N: int) -> BetaContext:
         poly[N - i] = -e
     poly = tuple(poly)
     hi = ctx.beta_bounds().hi
-    if poly_eval(poly, hi) <= 0:
+    if scaled_value(poly, hi.numerator, hi.denominator) <= 0:
         hi = hi + 1
     return BetaContext(RootBracket(poly, Fraction(1), hi), ctx.precision_bits)
 

@@ -1,30 +1,20 @@
-"""Error-tracked real arithmetic and one-dimensional root finding.
+"""Error-tracked real arithmetic over exact rationals.
 
 Values are represented as ``BoundedReal`` intervals (center plus absolute
 error radius) with exact rational endpoints, so every operation encloses the
 true image of its operand intervals with no hidden rounding.  Denominator
 growth is controlled explicitly with :meth:`BoundedReal.shrink`, which rounds
 outward to a dyadic grid.
-
-Root finding is plain bisection: deterministic, bracketing, and independent
-of floating point behaviour.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
-
-Rational = Union[int, Fraction]
 
 
 class IndeterminateSignError(ArithmeticError):
     """Division by an interval whose sign is not determined."""
-
-
-class NoBracketError(ValueError):
-    """Bisection endpoints do not bracket a sign change."""
 
 
 def _as_fraction(x) -> Fraction:
@@ -166,44 +156,3 @@ class BoundedReal:
         lo = Fraction((self.lo * scale).__floor__(), scale)
         hi = Fraction(-((-self.hi * scale).__floor__()), scale)
         return BoundedReal.from_endpoints(lo, hi)
-
-
-def bisect_root_bounds(
-    f: Callable[[Fraction], Rational],
-    lo,
-    hi,
-    tol,
-) -> tuple[Fraction, Fraction]:
-    """Bracket the root of a continuous, strictly monotone f by bisection.
-
-    f is evaluated at exact rational points and only its sign is used, so the
-    result is deterministic across platforms.  Returns the final bracket
-    [lo, hi], with hi - lo <= 2*tol, or (r, r) once a midpoint r is a root.
-    Raises NoBracketError when f(lo) and f(hi) have the same sign.
-    """
-    lo = _as_fraction(lo)
-    hi = _as_fraction(hi)
-    tol = _as_fraction(tol)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if hi <= lo:
-        raise ValueError("empty bracket")
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0:
-        return lo, lo
-    if fhi == 0:
-        return hi, hi
-    if (flo > 0) == (fhi > 0):
-        raise NoBracketError("no bracketed root")
-    increasing = fhi > 0
-    while hi - lo > 2 * tol:
-        mid = (lo + hi) / 2
-        fm = f(mid)
-        if fm == 0:
-            return mid, mid
-        if (fm > 0) == increasing:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi

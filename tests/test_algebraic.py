@@ -1,6 +1,14 @@
 from fractions import Fraction
 
-from betarec.algebraic import RootBracket, floor_element, poly_eval
+import pytest
+
+from betarec.algebraic import (
+    PRECISION_CAP_BITS,
+    PrecisionError,
+    RootBracket,
+    floor_element,
+    scaled_value,
+)
 
 
 def golden_bracket():
@@ -33,7 +41,8 @@ def test_bounds_are_the_first_bisection_step_at_each_width():
         # bisection of [1, 2] halves the width exactly, so the first bracket
         # narrow enough has width exactly 2**-bits
         assert hi - lo == Fraction(1, 1 << bits)
-        assert poly_eval(root.poly, lo) < 0 < poly_eval(root.poly, hi)
+        assert (scaled_value(root.poly, lo.numerator, lo.denominator) < 0
+                < scaled_value(root.poly, hi.numerator, hi.denominator))
         assert (lo, hi) == golden_bracket().bounds(bits)
     assert (root.lo, root.hi) == (1, 2)
 
@@ -49,6 +58,29 @@ def test_escalating_floor_leaves_coarser_reads_alone():
     assert floor_element([fib[301], -fib[300]], 1, root, 192) == 0
     assert 768 in root._bounds
     assert root.bounds(192) is at_192[0] and root.power_bounds(192) is at_192[1]
+
+
+def fibonacci_pair(n):
+    """(F(n), F(n + 1)) by fast doubling."""
+    if n == 0:
+        return 0, 1
+    a, b = fibonacci_pair(n >> 1)
+    c, d = a * (2 * b - a), a * a + b * b
+    return (d, c + d) if n & 1 else (c, d)
+
+
+def test_floor_escalates_to_the_cap_and_raises_past_it():
+    # F(n+1) - F(n) phi = psi**n with psi = -1/phi: for even n a positive
+    # value near 2**(-0.694 n) beside coefficients of 0.694 n bits, so its
+    # floor needs about 1.39 n bits of phi: 55,540 for n = 40,000 and
+    # 138,850, past the cap, for n = 100,000
+    root = golden_bracket()
+    f_n, f_next = fibonacci_pair(40_000)
+    assert floor_element([f_next, -f_n], 1, root, 192) == 0
+    assert max(root._bounds) == PRECISION_CAP_BITS
+    f_n, f_next = fibonacci_pair(100_000)
+    with pytest.raises(PrecisionError):
+        floor_element([f_next, -f_n], 1, root, 192)
 
 
 def test_degenerate_brackets():

@@ -3,31 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from betarec.numerics import (
-    BoundedReal,
-    IndeterminateSignError,
-    NoBracketError,
-    bisect_root_bounds,
-)
-
-
-def golden_ratio_oracle(digits=40):
-    """(1 + sqrt(5)) / 2 via integer square root, independent of bisection."""
-    scale = 10 ** digits
-    s = Fraction(__import__("math").isqrt(5 * scale * scale), scale)
-    # s <= sqrt(5) < s + 1/scale
-    return (1 + s) / 2, (1 + s + Fraction(1, scale)) / 2
-
-
-def newton_cubic_oracle(iters=80):
-    """Root of x^3 - x^2 - 1 by Newton iteration on exact rationals."""
-    x = Fraction(3, 2)
-    for _ in range(iters):
-        f = x**3 - x**2 - 1
-        df = 3 * x**2 - 2 * x
-        x = x - f / df
-        x = x.limit_denominator(10**80)
-    return x
+from betarec.numerics import BoundedReal, IndeterminateSignError
 
 
 class TestBoundedReal:
@@ -94,37 +70,3 @@ class TestBoundedReal:
                     a.powi(k)
             ops += 1
 
-
-class TestBisect:
-    def test_golden_ratio(self):
-        tol = Fraction(1, 10**14)
-        blo, bhi = bisect_root_bounds(lambda x: x * x - x - 1, 1, 2, tol)
-        lo, hi = golden_ratio_oracle()
-        assert bhi - blo <= 2 * tol
-        assert blo <= hi and lo <= bhi  # the bracket meets the oracle's
-
-    def test_cubic(self):
-        tol = Fraction(1, 10**14)
-        blo, bhi = bisect_root_bounds(lambda x: x**3 - x**2 - 1, 1, 2, tol)
-        oracle = newton_cubic_oracle()
-        assert bhi - blo <= 2 * tol
-        assert blo - Fraction(1, 10**12) < oracle < bhi + Fraction(1, 10**12)
-        assert abs(float(blo) - 1.4655712318767682) < 1e-12
-
-    def test_linear(self):
-        tol = Fraction(1, 10**12)
-        blo, bhi = bisect_root_bounds(lambda x: x - 1, Fraction(1, 2), 2, tol)
-        assert blo <= 1 <= bhi and bhi - blo <= 2 * tol
-
-    def test_no_bracket(self):
-        with pytest.raises(NoBracketError):
-            bisect_root_bounds(lambda x: x * x + 1, 0, 1, Fraction(1, 100))
-
-    def test_residual_bound(self):
-        # |f| <= f'(2) * 2 * tol across the bracket, for increasing f on [1, 2]
-        tol = Fraction(1, 10**10)
-        f = lambda x: x**3 - x**2 - 1
-        blo, bhi = bisect_root_bounds(f, 1, 2, tol)
-        assert f(blo) <= 0 <= f(bhi)
-        dmax = 3 * Fraction(2) ** 2 - 2 * Fraction(2)
-        assert max(abs(f(blo)), abs(f(bhi))) <= dmax * 2 * tol

@@ -55,6 +55,11 @@ advanced its index arrays in place, which the blocked scan over digit
 windows replaced; s, the running maximum and the error bound must be equal
 bit for bit.
 
+The root-bracket oracle is the Fraction bisection of the isolating bracket
+that the grid-cell computation of ``RootBracket.bounds`` replaced: Newton's
+method proposes the cell and exact integer signs certify it.  Brackets,
+degenerate ones included, must be equal.
+
 The construction oracles are the level words built by the definition
 u_k = (u_(k-1) v_k)^(ell_k) pad_k that the plan's segment layout replaced,
 the sampler that drew every gap of each level it reached in full and then
@@ -79,8 +84,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betarec import expansion, recurrence
-from betarec.algebraic import PRECISION_CAP_BITS, multiply_by_root
+from betarec import algebraic, expansion, recurrence
+from betarec.algebraic import PRECISION_CAP_BITS, RootBracket, multiply_by_root
 from betarec.cantor import (
     _LOOKUP_BITS,
     BlockPool,
@@ -2467,3 +2472,220 @@ class TestConstructionKernels:
         assert views[0]._digit_array().dtype == np.int64
         assert boxcount(views, ctx, range(1, 10), bootstrap=10, seed=1) == \
             oracle_boxcount(views, ctx, range(1, 10), bootstrap=10, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# root brackets
+# ---------------------------------------------------------------------------
+
+
+class NoBracketError(ValueError):
+    """Bisection endpoints do not bracket a sign change."""
+
+
+def poly_eval(coeffs, x):
+    """Evaluate sum(coeffs[i] * x**i) by Horner's rule."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def bisect_root_bounds(f, lo, hi, tol):
+    """Bracket the root of a continuous, strictly monotone f by bisection.
+
+    f is evaluated at exact rational points and only its sign is used.
+    Returns the final bracket [lo, hi], with hi - lo <= 2*tol, or (r, r)
+    once a midpoint r is a root.  Raises NoBracketError when f(lo) and f(hi)
+    have the same sign.
+    """
+    lo, hi, tol = Fraction(lo), Fraction(hi), Fraction(tol)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if hi <= lo:
+        raise ValueError("empty bracket")
+    flo = f(lo)
+    fhi = f(hi)
+    if flo == 0:
+        return lo, lo
+    if fhi == 0:
+        return hi, hi
+    if (flo > 0) == (fhi > 0):
+        raise NoBracketError("no bracketed root")
+    increasing = fhi > 0
+    while hi - lo > 2 * tol:
+        mid = (lo + hi) / 2
+        fm = f(mid)
+        if fm == 0:
+            return mid, mid
+        if (fm > 0) == increasing:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def oracle_brackets(poly, lo, hi, bits_list):
+    """{bits: the first bracket of width <= 2**-bits that bisection of
+    [lo, hi] reaches}.
+
+    Each bisection resumes from the bracket of the bits before it, which
+    lies earlier on the same sequence of halvings, so one pass serves every
+    bits in the list.
+    """
+    out = {}
+    lo, hi = Fraction(lo), Fraction(hi)
+    for bits in sorted(bits_list):
+        width = Fraction(1, 1 << bits)
+        if hi - lo > width:
+            lo, hi = bisect_root_bounds(lambda x: poly_eval(poly, x), lo, hi, width / 2)
+        out[bits] = (lo, hi)
+    return out
+
+
+def golden_ratio_oracle(digits=40):
+    """(1 + sqrt(5)) / 2 via integer square root, independent of bisection."""
+    scale = 10 ** digits
+    s = Fraction(math.isqrt(5 * scale * scale), scale)
+    # s <= sqrt(5) < s + 1/scale
+    return (1 + s) / 2, (1 + s + Fraction(1, scale)) / 2
+
+
+def newton_cubic_oracle(iters=80):
+    """Root of x^3 - x^2 - 1 by Newton iteration on exact rationals."""
+    x = Fraction(3, 2)
+    for _ in range(iters):
+        f = x**3 - x**2 - 1
+        df = 3 * x**2 - 2 * x
+        x = x - f / df
+        x = x.limit_denominator(10**80)
+    return x
+
+
+def truncation_brackets():
+    """(poly, lo, hi) of every valid truncation N <= 14 of 2.5, the golden
+    ratio and the root of x^3 - x - 1, N >= 2 (N = 1 is an integer base)."""
+    out = []
+    for ctx in (BetaContext.from_value("2.5"), BetaContext.golden(),
+                BetaContext.from_root((-1, -1, 0, 1), 1, 2)):
+        for n in range(2, 15):
+            try:
+                root = approximate_beta(ctx, n).exact
+            except ValueError:  # e_n = 0: not a valid truncation index
+                continue
+            out.append((root.poly, root.lo, root.hi))
+    return out
+
+
+ROOT_BRACKETS = [
+    ((-1, -1, 1), 1, 2),
+    ((-1, -1, 0, 1), 1, 2),
+    ((1, -3, 1), 2, 3),
+    ((1, -1, -1, -1, 1), Fraction(17, 10), Fraction(7, 4)),  # a Salem number
+]
+# x^5 - 2 (100 x - 1)^2: two roots about 1.4e-7 apart, near 1/100; the
+# bracket holds the upper one only
+CLOSE_ROOTS = ((-2, 400, -20000, 0, 0, 1), Fraction(1, 100), Fraction(1, 50))
+
+
+class TestBisect:
+    def test_golden_ratio(self):
+        tol = Fraction(1, 10**14)
+        blo, bhi = bisect_root_bounds(lambda x: x * x - x - 1, 1, 2, tol)
+        lo, hi = golden_ratio_oracle()
+        assert bhi - blo <= 2 * tol
+        assert blo <= hi and lo <= bhi  # the bracket meets the oracle's
+
+    def test_cubic(self):
+        tol = Fraction(1, 10**14)
+        blo, bhi = bisect_root_bounds(lambda x: x**3 - x**2 - 1, 1, 2, tol)
+        oracle = newton_cubic_oracle()
+        assert bhi - blo <= 2 * tol
+        assert blo - Fraction(1, 10**12) < oracle < bhi + Fraction(1, 10**12)
+        assert abs(float(blo) - 1.4655712318767682) < 1e-12
+
+    def test_linear(self):
+        tol = Fraction(1, 10**12)
+        blo, bhi = bisect_root_bounds(lambda x: x - 1, Fraction(1, 2), 2, tol)
+        assert blo <= 1 <= bhi and bhi - blo <= 2 * tol
+
+    def test_no_bracket(self):
+        with pytest.raises(NoBracketError):
+            bisect_root_bounds(lambda x: x * x + 1, 0, 1, Fraction(1, 100))
+
+    def test_residual_bound(self):
+        # |f| <= f'(2) * 2 * tol across the bracket, for increasing f on [1, 2]
+        tol = Fraction(1, 10**10)
+        f = lambda x: x**3 - x**2 - 1
+        blo, bhi = bisect_root_bounds(f, 1, 2, tol)
+        assert f(blo) <= 0 <= f(bhi)
+        dmax = 3 * Fraction(2) ** 2 - 2 * Fraction(2)
+        assert max(abs(f(blo)), abs(f(bhi))) <= dmax * 2 * tol
+
+
+def assert_first_bisection_bracket(poly, lo, hi, bits):
+    """bounds(bits) is the cell of the least dyadic grid on [lo, hi] that is
+    fine enough, with strict signs of poly at its ends, those of lo and hi."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    blo, bhi = RootBracket(poly, lo, hi).bounds(bits)
+    cells = (hi - lo) / (bhi - blo)
+    assert cells == 1 << (cells.numerator.bit_length() - 1)
+    assert (hi - lo) / cells <= Fraction(1, 1 << bits) < (hi - lo) / (cells / 2)
+    assert ((blo - lo) / (bhi - blo)).denominator == 1
+    assert poly_eval(poly, blo) * poly_eval(poly, lo) > 0
+    assert poly_eval(poly, bhi) * poly_eval(poly, hi) > 0
+
+
+class TestRootBrackets:
+    def test_brackets_are_the_bisection_brackets(self):
+        # the Fraction oracle takes about 20 s to reach 2048 bits on every
+        # truncation, so past 600 bits only the fixed brackets run it; the
+        # truncations are checked against the definition there instead
+        truncations = truncation_brackets()
+        assert len(truncations) == 7 + 6 + 2
+        for poly, lo, hi in ROOT_BRACKETS + [CLOSE_ROOTS] + truncations:
+            bits_list = list(range(1, 601))
+            if (poly, lo, hi) not in truncations:
+                bits_list += [1000, 2048]
+            ours = RootBracket(poly, Fraction(lo), Fraction(hi))
+            ref = oracle_brackets(poly, lo, hi, bits_list)
+            for bits in bits_list:
+                assert ours.bounds(bits) == ref[bits], (poly, lo, hi, bits)
+        for poly, lo, hi in truncations:
+            for bits in (1000, 2048):
+                assert_first_bisection_bracket(poly, lo, hi, bits)
+
+    @pytest.mark.parametrize("bits", [4096, 16384, 65536])
+    def test_definition_at_high_precision(self, bits):
+        for poly, lo, hi in ROOT_BRACKETS:
+            assert_first_bisection_bracket(poly, lo, hi, bits)
+
+    def test_roots_on_the_grid(self):
+        # x^2 - 1 on [0, 4]: the second midpoint is the root; x - 3 on
+        # [0, 8]: the third
+        for poly, hi, root in (((-1, 0, 1), 4, 1), ((-3, 1), 8, 3)):
+            ours = RootBracket(poly, Fraction(0), Fraction(hi))
+            ref = oracle_brackets(poly, 0, hi, range(0, 65))
+            for bits in range(0, 65):
+                assert ours.bounds(bits) == ref[bits] == (root, root)
+
+    def test_a_poor_start_runs_the_search(self, monkeypatch):
+        poly, lo, hi = CLOSE_ROOTS
+        ref = oracle_brackets(poly, lo, hi, [64, 192, 600])
+        root = ref[600][0]
+        lower_root = Fraction(1, 100) - Fraction(7071, 10**11)  # outside [lo, hi]
+        signs = []
+        value = algebraic.scaled_value
+        monkeypatch.setattr(algebraic, "scaled_value",
+                            lambda *args: signs.append(args) or value(*args))
+        for start in (root - Fraction(1, 1 << 40), root + Fraction(1, 1 << 150),
+                      (lo + hi) / 2, lo, lower_root):
+            monkeypatch.setattr(algebraic, "_newton", lambda *args: start)
+            for bits in (192, 600):
+                ours = RootBracket(poly, lo, hi)
+                assert ours.bounds(64) == ref[64]  # where Newton would start
+                del signs[:]
+                assert ours.bounds(bits) == ref[bits], (start, bits)
+                # one sign for the direction, and more than the two that a
+                # good guess needs
+                assert len(signs) > 3, (start, bits)
