@@ -357,8 +357,13 @@ class TruncationChoice:
     universe: BlockPool = field(repr=False, compare=False)  # all full blocks at (N, M)
 
 
-def choose_N_M(ctx: BetaContext, delta, m_cap: int = 64,
-               n_cap: int = 14) -> TruncationChoice:
+# choose_N_M searches the block lengths M <= _M_CAP and the truncation
+# indices N <= _N_CAP
+_M_CAP = 64
+_N_CAP = 14
+
+
+def choose_N_M(ctx: BetaContext, delta) -> TruncationChoice:
     """Smallest feasible (N, M), searched lexicographically (M outer, N inner).
 
     Feasibility is the exact-count inequality
@@ -370,9 +375,9 @@ def choose_N_M(ctx: BetaContext, delta, m_cap: int = 64,
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
     best: Optional[tuple[float, int, int]] = None
-    valid_n = [i + 1 for i, d in enumerate(ctx.eps_star(n_cap)) if d > 0]
+    valid_n = [i + 1 for i, d in enumerate(ctx.eps_star(_N_CAP)) if d > 0]
     trunc_cache: dict[int, BetaContext] = {}
-    for M in range(2, m_cap + 1):
+    for M in range(2, _M_CAP + 1):
         for N in valid_n:
             if N == 1 and sum(ctx.eps_star(1)) < 2:
                 continue

@@ -85,7 +85,6 @@ from .algebraic import (
     RootBracket,
     floor_element,
     multiply_by_root,
-    scaled_value,
 )
 from .numerics import BoundedReal, _as_fraction
 
@@ -842,7 +841,11 @@ def approximate_beta(ctx: BetaContext, N: int) -> BetaContext:
     the new context reads itself.  The root is the integer e_1 at N = 1 and
     never an integer k for N >= 2: e_N >= 1 forces e_1 <= k - 1, and as
     every e_i <= e_1, sum_(i>=2) e_i k**-i <= (k - 1) sum_(i=2..N) k**-i
-    < 1/k <= 1 - e_1/k, against 1 = sum e_i k**-i.
+    < 1/k <= 1 - e_1/k, against 1 = sum e_i k**-i.  So for N >= 2 the
+    root is irrational, as a rational root of a monic integer polynomial
+    is an integer; it lies in [1, hi] for the upper end hi of this base's
+    enclosure, as beta_N <= beta <= hi, and is not hi, so the polynomial is
+    positive at hi.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -858,10 +861,8 @@ def approximate_beta(ctx: BetaContext, N: int) -> BetaContext:
     for i, e in enumerate(prefix, start=1):
         poly[N - i] = -e
     poly = tuple(poly)
-    hi = ctx.beta_bounds().hi
-    if scaled_value(poly, hi.numerator, hi.denominator) <= 0:
-        hi = hi + 1
-    return BetaContext(RootBracket(poly, Fraction(1), hi), ctx.precision_bits)
+    return BetaContext(RootBracket(poly, Fraction(1), ctx.beta_bounds().hi),
+                       ctx.precision_bits)
 
 
 def eps_star(ctx: BetaContext, n: int) -> Word:

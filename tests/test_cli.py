@@ -86,6 +86,19 @@ class TestCommands:
         code, payload = run_json(capsys, "eps-star", "--beta", "2.5", "--n", "6")
         assert code == 0
         assert payload["result"]["digits"].startswith("2,1,0,1")
+        assert "simple_parry" not in payload["result"]
+        validate_result(schema, "eps-star", payload)
+
+    def test_eps_star_names_a_simple_parry_base(self, capsys, schema):
+        # the golden ratio's expansion of 1 ends at its second digit, which
+        # --n 1 does not reach
+        code, payload = run_json(capsys, "eps-star", "--beta", "golden", "--n", "8")
+        assert code == 0
+        assert payload["result"] == {"digits": "1,0,1,0,1,0,1,0", "simple_parry": 2}
+        validate_result(schema, "eps-star", payload)
+        code, payload = run_json(capsys, "eps-star", "--beta", "golden", "--n", "1")
+        assert code == 0
+        assert payload["result"] == {"digits": "1"}
         validate_result(schema, "eps-star", payload)
 
     def test_approx_beta(self, capsys, schema):
@@ -148,6 +161,18 @@ class TestCommands:
         assert code == 0
         assert payload["result"]["measure_float"] > 0
         validate_result(schema, "cantor", payload)
+
+    def test_cantor_sample_to_the_end_of_a_level(self, capsys, schema):
+        # --k without --depth samples a point to m_k, the end of level k
+        opts = ["--beta", "2.5", "--rhat", "0.2", "--r", "1", "--delta", "0.5", "--K", "4"]
+        plan = build_plan(BetaContext.from_value("2.5"), "0.2", "1", delta="0.5", K=4, seed=0)
+        for k in (1, 2):
+            code, payload = run_json(capsys, "cantor", "sample", *opts, "--k", str(k))
+            assert code == 0
+            validate_result(schema, "cantor", payload)
+            depth = plan.m_seq[k - 1]
+            digits = word_text(tuple(sample_point(plan, 0, depth).digits(depth)))
+            assert payload["result"] == {"depth": depth, "digits": digits}
 
     def test_dim_series(self, capsys, schema):
         code, payload = run_json(capsys, "dim", "series", "--beta", "2.5",
@@ -387,7 +412,24 @@ def readme_commands():
     return commands
 
 
+def readme_quick_start():
+    """The source of the README's library quick start."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("## Library quick start", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+
+
 class TestReadmeCommands:
+    def test_library_quick_start_prints_its_comments(self, capsys):
+        source = readme_quick_start()
+        exec(compile(source, "README.md", "exec"), {})
+        printed = capsys.readouterr().out.split()
+        # each print line ends in "# value" or "# ~value"
+        expected = [line.partition("#")[2].strip().lstrip("~")
+                    for line in source.splitlines() if line.startswith("print(")]
+        assert len(printed) == len(expected) == 3
+        for got, want in zip(printed, expected):
+            assert abs(float(got) - float(want)) < 0.1, (got, want)
+
     def test_every_command_keeps_the_contract_and_its_comment(self, capsys, schema,
                                                               monkeypatch):
         monkeypatch.delenv("BETAREC_PRECISION_BITS", raising=False)
