@@ -88,6 +88,12 @@ def multiply_by_root(vec: list[int], poly: tuple[int, ...]) -> list[int]:
 class RootBracket:
     """An isolating rational bracket [lo, hi] for the unique root of poly inside it.
 
+    poly must be irreducible over Q, the minimal polynomial of its root:
+    the exact decisions on elements read their coefficients, which are
+    unique only then.  With a reducible poly, such as (x^2 - x - 1)(x - 5)
+    on [1, 2], the floor of an element that equals an integer runs to
+    ``PRECISION_CAP_BITS`` and raises ``PrecisionError``.
+
     The endpoints carry opposite signs of poly, or are both the root, and
     never change after construction.  ``bounds(bits)`` is the bisection of
     [lo, hi] to width 2**-bits; the bisection sequence is unique, so every

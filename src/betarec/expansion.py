@@ -560,6 +560,10 @@ class BetaContext:
     @classmethod
     def from_root(cls, poly: Iterable[int], lo, hi,
                   precision_bits: int = DEFAULT_PRECISION_BITS) -> "BetaContext":
+        """The root in [lo, hi] of the monic integer polynomial with
+        coefficients poly, constant term first.  poly must be irreducible
+        (see ``RootBracket``): a reducible one, such as x^2 - x - 2 on
+        [3/2, 3], raises ``PrecisionError`` while the expansion of 1 is read."""
         bracket = RootBracket(tuple(int(c) for c in poly), _as_fraction(lo), _as_fraction(hi))
         return cls(bracket, precision_bits)
 

@@ -88,18 +88,13 @@ class TestCommands:
         assert payload["result"]["digits"].startswith("2,1,0,1")
         assert "simple_parry" not in payload["result"]
         validate_result(schema, "eps-star", payload)
-
-    def test_eps_star_names_a_simple_parry_base(self, capsys, schema):
         # the golden ratio's expansion of 1 ends at its second digit, which
         # --n 1 does not reach
-        code, payload = run_json(capsys, "eps-star", "--beta", "golden", "--n", "8")
-        assert code == 0
-        assert payload["result"] == {"digits": "1,0,1,0,1,0,1,0", "simple_parry": 2}
-        validate_result(schema, "eps-star", payload)
-        code, payload = run_json(capsys, "eps-star", "--beta", "golden", "--n", "1")
-        assert code == 0
-        assert payload["result"] == {"digits": "1"}
-        validate_result(schema, "eps-star", payload)
+        for n, result in (("8", {"digits": "1,0,1,0,1,0,1,0", "simple_parry": 2}),
+                          ("1", {"digits": "1"})):
+            code, payload = run_json(capsys, "eps-star", "--beta", "golden", "--n", n)
+            assert (code, payload["result"]) == (0, result)
+            validate_result(schema, "eps-star", payload)
 
     def test_approx_beta(self, capsys, schema):
         code, payload = run_json(capsys, "approx-beta", "--beta", "golden",
@@ -162,12 +157,10 @@ class TestCommands:
         assert payload["result"]["measure_float"] > 0
         validate_result(schema, "cantor", payload)
 
-    def test_cantor_sample_to_the_end_of_a_level(self, capsys, schema):
         # --k without --depth samples a point to m_k, the end of level k
-        opts = ["--beta", "2.5", "--rhat", "0.2", "--r", "1", "--delta", "0.5", "--K", "4"]
         plan = build_plan(BetaContext.from_value("2.5"), "0.2", "1", delta="0.5", K=4, seed=0)
         for k in (1, 2):
-            code, payload = run_json(capsys, "cantor", "sample", *opts, "--k", str(k))
+            code, payload = run_json(capsys, *base, "sample", *opts, "--k", str(k))
             assert code == 0
             validate_result(schema, "cantor", payload)
             depth = plan.m_seq[k - 1]
