@@ -357,8 +357,6 @@ class TruncationChoice:
     universe: BlockPool = field(repr=False, compare=False)  # all full blocks at (N, M)
 
 
-# choose_N_M searches the block lengths M <= _M_CAP and the truncation
-# indices N <= _N_CAP
 _M_CAP = 64
 _N_CAP = 14
 

@@ -97,13 +97,18 @@ def oracle_powi(x, k):
     return acc
 
 
-def oracle_word_sum_bounds(w, ctx):
-    """Horner over BoundedReal with an outward dyadic shrink after each digit."""
+def oracle_word_sum_bounds(w, ctx, after=None):
+    """Horner over BoundedReal with an outward dyadic shrink after each digit.
+    Given ``after``, the sum S(v) of digits that follow w, the pass runs on
+    from it and returns S(w + v) as the pass over w + v would."""
     if ctx.beta_fraction is not None:
-        return BoundedReal.exact(word_value_fraction(w, ctx.beta_fraction))
+        value = word_value_fraction(w, ctx.beta_fraction)
+        if after is not None:
+            value += after.lo * ctx.beta_fraction ** -len(w)
+        return BoundedReal.exact(value)
     bits = ctx.precision_bits
     binv = BoundedReal.exact(1) / ctx.beta_bounds(bits)
-    acc = BoundedReal.exact(0)
+    acc = BoundedReal.exact(0) if after is None else after
     for d in reversed(w):
         acc = ((acc + d) * binv).shrink(bits + 64)
     return acc

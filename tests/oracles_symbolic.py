@@ -1,10 +1,11 @@
 """Cylinder geometry and the follower automaton against their reference
 loops.
 
-The cylinder oracle takes both word sums S(w) and S(w + ext) per word, with
-the greedy tail ext built one automaton step at a time, on rational and
-algebraic bases alike; the per-(state, refine, n) cache of the tail's
-Horner state and of the length replaced it.  Endpoints and fullness must be
+The cylinder oracle takes both word sums S(w) and S(w + ext) per word from
+the word-sum oracles of ``oracles_expansion`` (Fractions on a rational
+base), with the greedy tail ext built one automaton step at a time; the
+per-(state, refine, n) cache of the tail's Horner state and of the length
+replaced it.  Endpoints and fullness must be
 equal, whatever order the words come in.
 
 The language oracle is the per-digit KMP walk that the follower
@@ -12,18 +13,14 @@ automaton's transition table replaced (``oracle_common.OracleFollower``).
 Every table cell must be equal.
 """
 
+import functools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betarec.expansion import (
-    BetaContext,
-    approximate_beta,
-    beta_power_bounds,
-    word_sum_bounds,
-)
+from betarec.expansion import BetaContext, approximate_beta
 from betarec.numerics import BoundedReal
 from betarec.symbolic import (
     Cylinder,
@@ -33,6 +30,7 @@ from betarec.symbolic import (
     enumerate_admissible,
 )
 from oracle_common import CUBIC, OracleFollower, parent_bases
+from oracles_expansion import oracle_beta_power_bounds, oracle_word_sum_bounds
 
 
 def oracle_greedy_tail(w, ctx, refine):
@@ -48,16 +46,31 @@ def oracle_greedy_tail(w, ctx, refine):
     return tuple(ext)
 
 
+@functools.cache
+def oracle_sum(ctx, w):
+    """S(w) from the word-sum oracle, taken once: a word's sum serves every
+    refine, and a greedy tail's every word that ends in its state."""
+    return oracle_word_sum_bounds(w, ctx)
+
+
+oracle_power = functools.cache(oracle_beta_power_bounds)
+
+
+@functools.cache
 def oracle_cylinder(w, ctx, refine):
     """The cylinder from both word sums: [S(w + ext) - S(w), that +
-    beta^-(n+refine)] by ``BoundedReal`` subtraction, ext the greedy tail."""
+    beta^-(n+refine)] by ``BoundedReal`` subtraction, ext the greedy tail.
+    Both sums and the power come from the word-sum oracles, exact on a
+    rational base.  Memoised: the tests that share a reference context
+    share its cylinders."""
     n = len(w)
     state = automaton_for(ctx, n + refine).feed(w)
     if state is None:
         raise ValueError("word is not admissible")
-    left = word_sum_bounds(w, ctx)
-    diff = word_sum_bounds(w + oracle_greedy_tail(w, ctx, refine), ctx) - left
-    _, tail_hi = beta_power_bounds(ctx, -(n + refine))
+    left = oracle_sum(ctx, w)
+    ext = oracle_greedy_tail(w, ctx, refine)
+    diff = oracle_word_sum_bounds(w, ctx, oracle_sum(ctx, ext)) - left
+    _, tail_hi = oracle_power(ctx, -(n + refine))
     length = BoundedReal.from_endpoints(diff.lo, diff.hi + tail_hi)
     return Cylinder(word=w, left=left, length=length, full=state == 0)
 
@@ -65,17 +78,18 @@ def oracle_cylinder(w, ctx, refine):
 class TestCylinderKernels:
     @pytest.mark.parametrize("refine", [0, 1, 24, 40])
     def test_cylinder_on_every_short_word(self, refine):
-        for ctx in (BetaContext.from_value("2.5"), BetaContext.golden(),
-                    BetaContext.from_root(CUBIC, 1, 2)):
+        bases = cylinder_cache_bases()
+        for name in ("2.5", "golden", "x^3-x-1"):
+            ctx, ref = bases[name], reference_context(name)
             for n in range(9):
                 for w in enumerate_admissible(ctx, n):
-                    assert cylinder(w, ctx, refine) == oracle_cylinder(w, ctx, refine), w
+                    assert cylinder(w, ctx, refine) == oracle_cylinder(w, ref, refine), w
 
     def test_cylinder_past_the_default_automaton_depth(self):
         # 2.5 is not simple Parry: its automaton is rebuilt deeper for n + refine > 64
         ctx = BetaContext.from_value("2.5")
         for w in ((), (0,), (2,), (2, 0, 2), (1, 2, 1, 0)):
-            assert cylinder(w, ctx, 90) == oracle_cylinder(w, ctx, 90), w
+            assert cylinder(w, ctx, 90) == oracle_cylinder(w, reference_context("2.5"), 90), w
         assert automaton_for(ctx, 0).depth >= 94
 
 
@@ -85,6 +99,14 @@ def cylinder_cache_bases():
             "3": BetaContext.from_value(3), "golden": golden,
             "golden N=3": approximate_beta(golden, 3),
             "x^3-x-1": BetaContext.from_root(CUBIC, 1, 2)}
+
+
+@functools.cache
+def reference_context(name):
+    """The oracles' own context for a base of ``cylinder_cache_bases``: one
+    per base, so the library never runs on it and each oracle cylinder is
+    taken once."""
+    return cylinder_cache_bases()[name]
 
 
 CYLINDER_REFINES = (0, 1, 24, 40)
@@ -103,7 +125,7 @@ class TestCylinderCache:
     @pytest.mark.parametrize("name", sorted(cylinder_cache_bases()))
     def test_fresh_contexts_in_word_order(self, name):
         for refine in CYLINDER_REFINES:
-            ours, ref = cylinder_cache_bases()[name], cylinder_cache_bases()[name]
+            ours, ref = cylinder_cache_bases()[name], reference_context(name)
             for n in range(8):
                 for w in enumerate_admissible(ours, n):
                     self.assert_same(cylinder(w, ours, refine), oracle_cylinder(w, ref, refine))
@@ -111,7 +133,7 @@ class TestCylinderCache:
     @pytest.mark.parametrize("name", sorted(cylinder_cache_bases()))
     def test_one_context_in_interleaved_order(self, name):
         # cache entries made by one (word, refine) are read by others
-        ours, ref = cylinder_cache_bases()[name], cylinder_cache_bases()[name]
+        ours, ref = cylinder_cache_bases()[name], reference_context(name)
         cases = [(w, refine) for refine in CYLINDER_REFINES
                  for n in range(8) for w in enumerate_admissible(ours, n)]
         random.Random(name).shuffle(cases)
