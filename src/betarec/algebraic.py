@@ -15,8 +15,9 @@ It is computed directly, as a grid cell that two exact sign tests certify.
 evaluates the element on the root's enclosure, doubling the precision until
 the floor is certain; the only time no enclosure can decide is when the
 value is exactly an integer, and that case is decided exactly by a
-coefficient test.  Digits, signs (floor < 0) and comparisons with 1 (floor 0,
-or floor 1 with a zero remainder) all reduce to it.  Past
+coefficient test (``ReduciblePolynomialError`` when it finds the polynomial
+reducible).  Digits, signs (floor < 0) and comparisons with 1 (floor 0, or
+floor 1 with a zero remainder) all reduce to it.  Past
 ``PRECISION_CAP_BITS`` it raises ``PrecisionError``.
 
 Everything here is internal plumbing for the exact elements of Q(beta) in
@@ -35,6 +36,25 @@ PRECISION_CAP_BITS = 1 << 16
 
 class PrecisionError(ArithmeticError):
     """Raised when a certified floor is still undecided at the precision cap."""
+
+
+class ReduciblePolynomialError(ValueError):
+    """Raised when a base's polynomial turns out reducible over Q."""
+
+
+def _gcd(p: tuple[int, ...], q: list[int]) -> list[Fraction]:
+    """A greatest common divisor over Q of the polynomials p and q
+    (coefficients constant term first, q not zero), by Euclid's algorithm."""
+    a, b = list(map(Fraction, p)), list(map(Fraction, q))
+    while any(b):
+        while not b[-1]:
+            b.pop()
+        while len(a) >= len(b):  # a <- a mod b
+            f = a.pop() / b[-1]
+            for i, c in enumerate(b[:-1], len(a) - len(b) + 1):
+                a[i] -= f * c
+        a, b = b, a
+    return a
 
 
 def scaled_value(coeffs: tuple[int, ...], num: int, den: int) -> int:
@@ -90,9 +110,9 @@ class RootBracket:
 
     poly must be irreducible over Q, the minimal polynomial of its root:
     the exact decisions on elements read their coefficients, which are
-    unique only then.  With a reducible poly, such as (x^2 - x - 1)(x - 5)
-    on [1, 2], the floor of an element that equals an integer runs to
-    ``PRECISION_CAP_BITS`` and raises ``PrecisionError``.
+    unique only then.  A reducible poly, such as (x^2 - x - 1)(x - 5) on
+    [1, 2], is found when an element that equals an integer first reaches
+    ``floor_element``, which raises ``ReduciblePolynomialError``.
 
     The endpoints carry opposite signs of poly, or are both the root, and
     never change after construction.  ``bounds(bits)`` is the bisection of
@@ -198,7 +218,12 @@ def floor_element(
 
     Doubles the precision from bits up to PRECISION_CAP_BITS; if the value
     sits exactly on an integer the coefficient test decides it, otherwise
-    the bracket eventually separates the value from the boundary.
+    the bracket eventually separates the value from the boundary.  When the
+    test fails on an integer that the bracket straddles, but the element
+    minus it and root.poly share a factor with the root in root's bracket,
+    the value is that integer and root.poly is reducible:
+    ReduciblePolynomialError.  A shared factor without that root, such as
+    the x + 1 of some of ``approximate_beta``'s polynomials, is no equality.
     """
     if den <= 0:
         raise ValueError("denominator must be positive")
@@ -224,6 +249,10 @@ def floor_element(
             probe[0] -= f_hi * den
             if all(c == 0 for c in probe):
                 return f_hi
+            g = _gcd(root.poly, probe)  # does a factor with the root divide probe?
+            ends = [sum(c * x**i for i, c in enumerate(g)) for x in (root.lo, root.hi)]
+            if len(g) > 1 and ends[0] * ends[1] <= 0:
+                raise ReduciblePolynomialError(f"polynomial {root.poly} is reducible over Q")
         if bits >= PRECISION_CAP_BITS:
             raise PrecisionError(
                 f"floor undecided between {f_lo} and {f_hi} at {bits} bits"

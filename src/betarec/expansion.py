@@ -563,7 +563,7 @@ class BetaContext:
         """The root in [lo, hi] of the monic integer polynomial with
         coefficients poly, constant term first.  poly must be irreducible
         (see ``RootBracket``): a reducible one, such as x^2 - x - 2 on
-        [3/2, 3], raises ``PrecisionError`` while the expansion of 1 is read."""
+        [3/2, 3], raises ``ReduciblePolynomialError``."""
         bracket = RootBracket(tuple(int(c) for c in poly), _as_fraction(lo), _as_fraction(hi))
         return cls(bracket, precision_bits)
 

@@ -363,17 +363,13 @@ def neg_log_distance(view: OrbitView, n: int) -> LambdaBounds:
                                     censored=False, match_len=j)
 
 
-_UNIT = 2.0 ** -53  # unit roundoff of a float64
-
-
-# positions per block of the difference scan: its working arrays (three
-# float64 rows and the 48 x block int8 differences) stay in cache
+# positions per block of the difference scans: a block's working arrays
+# (the 48 x block digit differences, as float64 in _dot_scan) stay near 6 MB
 _SCAN_CHUNK = 1 << 14
 
 
-def _difference_scan(d: np.ndarray, beta_f: float, ia: np.ndarray, ib: np.ndarray,
-                     dbeta: Optional[float] = None
-                     ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+def _difference_scan(d: np.ndarray, beta_f: float, ia: np.ndarray,
+                     ib: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The float difference recurrence s <- beta_f s + d[ia + i] - d[ib + i], batched.
 
     Each position starts from s = 0 and reads one digit pair a step for
@@ -383,36 +379,23 @@ def _difference_scan(d: np.ndarray, beta_f: float, ia: np.ndarray, ib: np.ndarra
     gathers the 48-digit windows of d at its ia and at its ib (one row copy
     per position), takes their difference once, and step i adds row i of
     its transpose.  ia and ib are not changed.
-    Returns s, the running maximum of |s|, and, given dbeta >= |beta_f - beta|,
-    a bound err >= |S - s| carried in the same loop (None otherwise): one
-    rounding each for the product and the sum, u the unit roundoff,
-    err <- err (beta_f + 2 dbeta)(1 + 4u) + (dbeta + 4u beta_f)|s_prev| + 4u|s|.
+    Returns s and the running maximum of |s|.
     """
     s = np.zeros(ia.shape[0], dtype=np.float64)
     max_abs = np.zeros(ia.shape[0], dtype=np.float64)
-    err = None if dbeta is None else np.zeros_like(s)
-    if err is not None:
-        beta_up = (beta_f + 2.0 * dbeta) * (1.0 + 4.0 * _UNIT)
-        grow = dbeta + 4.0 * _UNIT * beta_f
     if not ia.shape[0]:
-        return s, max_abs, err  # d may be shorter than one window
+        return s, max_abs  # d may be shorter than one window
     windows = sliding_window_view(d, _SCAN_STEPS)
     for lo in range(0, ia.shape[0], _SCAN_CHUNK):
         part = slice(lo, lo + _SCAN_CHUNK)
         sc, mc = s[part], max_abs[part]
-        ec = None if err is None else err[part]
         # row i holds c_i of every position in the block
         diffs = (windows[ia[part]] - windows[ib[part]]).T.copy()
         for c in diffs:
-            if ec is not None:
-                ec *= beta_up
-                ec += grow * np.abs(sc)
             sc *= beta_f
             sc += c
-            if ec is not None:
-                ec += 4.0 * _UNIT * np.abs(sc)
             np.maximum(mc, np.abs(sc), out=mc)
-    return s, max_abs, err
+    return s, max_abs
 
 
 def _difference(view: OrbitView, n: int):
@@ -571,22 +554,71 @@ def _is_pisot(poly: tuple[int, ...]) -> bool:
     return _roots_inside(scaled) == n - 1
 
 
+_UNIT = Fraction(1, 1 << 53)  # unit roundoff of a float64
+_GAMMA = _SCAN_STEPS * _UNIT / (1 - _SCAN_STEPS * _UNIT)  # see _batch_gaps
+
+
+def _dot_scan(ctx: BetaContext, d: np.ndarray, ia: np.ndarray,
+              ib: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s = C @ P and err = |C| @ D in blocks of ``_SCAN_CHUNK`` rows, with
+    C[:, i] = d[ia + i] - d[ib + i] for i < 48; P and D (see ``_batch_gaps``)
+    are made once per context and kept on it."""
+    weights = getattr(ctx, "_scan_weights", None)
+    if weights is None:
+        b, dbeta = map(Fraction, ctx.beta_float_bound())
+        P, D = [], []
+        for k in range(_SCAN_STEPS - 1, -1, -1):
+            p = Fraction(float(b**k))
+            bound = ((b + dbeta)**k - b**k + abs(b**k - p) + _GAMMA * p) * (1 + 2 * _GAMMA)
+            P.append(float(p))
+            D.append(math.nextafter(float(bound), math.inf))
+        weights = ctx._scan_weights = (np.array(P), np.array(D))
+    P, D = weights
+    s, err = np.empty(ia.shape[0]), np.empty(ia.shape[0])
+    windows = sliding_window_view(d, _SCAN_STEPS)
+    for lo in range(0, ia.shape[0], _SCAN_CHUNK):
+        part = slice(lo, lo + _SCAN_CHUNK)
+        c = np.subtract(windows[ia[part]], windows[ib[part]], dtype=np.float64)
+        np.matmul(c, P, out=s[part])
+        np.matmul(np.abs(c, out=c), D, out=err[part])
+    return s, err
+
+
 def _batch_gaps(view: OrbitView, ns: np.ndarray) -> np.ndarray:
-    """ceil(lambda) - 1 at each return time in ns that the float scan
-    settles, under the conditions listed in ``extract_returns``; -1 at the
-    others.  On an algebraic base that is not Pisot, the float value of S_L
-    inside ``neg_log_distance`` can lose many bits, so nothing is settled.
+    """ceil(lambda) - 1 at each return time in ns that the float filter
+    settles, under conditions (a)-(c) of ``extract_returns``; -1 at the
+    others.
+
+    With j = z(n) and c_i = d_(n+j+i) - d_(j+i), exact as floats, the
+    filter takes S = sum_(i<48) c_i beta^(47-i) as one dot product
+    s = fl(sum c_i P_i) (``_dot_scan``), P_i the float nearest beta_f^k,
+    k = 47 - i.  Then
+      |S - s| <= sum |c_i| |beta^k - P_i| + |sum c_i P_i - s|
+              <= sum |c_i| (e_i + gamma P_i),
+    where e_i = (beta_f + dbeta)^k - beta_f^k + |beta_f^k - P_i| bounds
+    |beta^k - P_i| for dbeta >= |beta - beta_f| (``beta_float_bound``), and
+    gamma = 48u/(1 - 48u), u = 2^-53, bounds a 48-term float dot product in
+    every order of summation (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 3.1), so in any order BLAS takes.  err is that sum in
+    floats, sum |c_i| D_i with D_i = (e_i + gamma P_i)(1 + 2 gamma) taken in
+    Fractions and rounded up: a float sum of nonnegative terms is at least
+    1 - gamma times the exact one, and (1 - gamma)(1 + 2 gamma) >= 1.
+    On an algebraic base that is not Pisot, the float value of S_L inside
+    ``neg_log_distance`` can lose many bits, so nothing is settled; nor past
+    beta = 2^20, where beta^48 leaves the float range.
     """
     gaps = np.full(ns.shape[0], -1, dtype=np.int64)
     ctx = view.ctx
-    if ctx.beta_fraction is None and not _is_pisot(ctx.exact.poly):
+    beta_f = ctx.beta_float()
+    if (ctx.beta_fraction is None and not _is_pisot(ctx.exact.poly)) or beta_f > 2.0**20:
         return gaps
     depth = view.depth
     j = view.z_values()[ns]
     sel = np.flatnonzero((ns + _LOOKAHEAD <= depth) & (ns + j + _SCAN_STEPS <= depth))
+    if not sel.size:
+        return gaps  # the view may be shorter than one window
     j = j[sel]
-    beta_f, dbeta = ctx.beta_float_bound()
-    s, _, err = _difference_scan(view._digit_array(), beta_f, ns[sel] + j, j, dbeta=dbeta)
+    s, err = _dot_scan(ctx, view._digit_array(), ns[sel] + j, j)
     tail = max(ctx.alphabet_max, 1) / (beta_f - 1.0)
     abs_s = np.abs(s)
     low = abs_s - err - tail
@@ -623,9 +655,10 @@ def extract_returns(view: OrbitView, K: int, monotone: bool = True,
     """First K return-profile entries: first-digit recurrences with depths.
 
     The return times are the n in [1, limit) with d_n = d_0, where limit is
-    the search limit or else the depth.  One float scan of 48 difference
-    digits, carrying a running rounding-error bound err, settles the gap of
-    each n for which all of these hold:
+    the search limit or else the depth.  One float dot product of 48
+    difference digits with the powers of beta, with a certified bound err
+    on its error (``_batch_gaps`` derives it), settles the gap of each n for
+    which all of these hold:
     (a) n + 64 <= depth and n + z(n) + 48 <= depth;
     (b) the lower bound |s| - err - amax/(beta - 1) of |S_48| exceeds 2^24
         times ``neg_log_distance``'s tail bound amax beta/(beta - 1);
@@ -790,7 +823,7 @@ def _lambda_series(view: OrbitView, n_max: int) -> tuple[np.ndarray, int]:
     tail = amax / (beta_f - 1.0)
     ia = n_arr + j_arr
     bad = ia + (_SCAN_STEPS - 1) >= depth
-    s, max_abs, _ = _difference_scan(d, beta_f, ia, j_arr)
+    s, max_abs = _difference_scan(d, beta_f, ia, j_arr)
     abs_s = np.abs(s)
     ok = (~bad) & (abs_s > _FLOAT_MARGIN * tail) & (max_abs < _FLOAT_MARGIN * abs_s)
     lam = np.full(n_max, np.nan)

@@ -19,8 +19,11 @@ the digits a view ends up holding, and comparison signs must be equal.
 
 The difference-scan oracle is the loop over all positions at once that
 advanced its index arrays in place, which the blocked scan over digit
-windows replaced; s, the running maximum and the error bound must be equal
-bit for bit.
+windows replaced; s and the running maximum must be equal bit for bit.
+With its running error bound it is also the Horner filter that the return
+depths' dot products replaced (``oracle_horner_gaps``): the dot products
+must settle every return time it settles, to the same gap, and their error
+bound must hold against exact sums in Q(beta).
 """
 
 import itertools
@@ -175,6 +178,35 @@ def oracle_difference_scan(d, beta_f, ia, ib, dbeta=None, scan_steps=48):
         ia += 1
         ib += 1
     return s, max_abs, err
+
+
+def oracle_horner_gaps(view, ns):
+    """``recurrence._batch_gaps`` as a running Horner scan with its error
+    bound: -1 where it settles nothing."""
+    gaps = np.full(ns.shape[0], -1, dtype=np.int64)
+    ctx = view.ctx
+    if ctx.beta_fraction is None and not recurrence._is_pisot(ctx.exact.poly):
+        return gaps
+    depth = view.depth
+    j = view.z_values()[ns]
+    sel = np.flatnonzero((ns + 64 <= depth) & (ns + j + 48 <= depth))
+    j = j[sel]
+    beta_f, dbeta = ctx.beta_float_bound()
+    s, _, err = oracle_difference_scan(view._digit_array(), beta_f, ns[sel] + j, j,
+                                       dbeta=dbeta)
+    tail = max(ctx.alphabet_max, 1) / (beta_f - 1.0)
+    abs_s = np.abs(s)
+    low = abs_s - err - tail
+    stops = low > (1.0 + 1e-9) * 2.0**24 * tail * beta_f
+    lb = math.log(beta_f)
+    slack = 1e-9 - 2.0 * math.log1p(-(2.0**-24)) / lb
+    top = j[stops] + 48
+    lam_lo = top - np.log(abs_s[stops] + err[stops] + tail) / lb - slack
+    lam_hi = top - np.log(low[stops]) / lb + slack
+    g = np.ceil(lam_lo) - 1
+    same = g == np.ceil(lam_hi) - 1
+    gaps[sel[stops][same]] = g[same]
+    return gaps
 
 
 def oracle_estimate_r(view, n_max):
@@ -569,7 +601,7 @@ class TestDifferenceScan:
         rng = np.random.default_rng(131)
         for value in ("2.5", "7/5"):
             ctx = BetaContext.from_value(value)
-            beta_f, dbeta = ctx.beta_float_bound()
+            beta_f = ctx.beta_float()
             for n in (0, 1, chunk - 1, chunk, chunk + 1, 50_003):
                 depth = 2 * n + 100
                 d = np.zeros(depth + 49, dtype=np.int8)
@@ -577,16 +609,11 @@ class TestDifferenceScan:
                 j = rng.integers(0, 40, n)
                 j[::97] = rng.integers(0, n + 1, j[::97].shape[0])
                 ia = np.minimum(np.arange(1, n + 1) + j, depth - 1)
-                for bound in (None, dbeta):
-                    ours = recurrence._difference_scan(d, beta_f, ia, j, dbeta=bound)
-                    ref = oracle_difference_scan(d, beta_f, ia, j, dbeta=bound)
-                    for got, want in zip(ours[:2], ref[:2]):
-                        assert self.same_bits(got, want), (value, n)
-                    if bound is None:
-                        assert ours[2] is None and ref[2] is None
-                    else:
-                        assert self.same_bits(ours[2], ref[2]), (value, n)
-                    assert ours[0].shape == (n,)
+                ours = recurrence._difference_scan(d, beta_f, ia, j)
+                ref = oracle_difference_scan(d, beta_f, ia, j)
+                for got, want in zip(ours, ref[:2]):
+                    assert self.same_bits(got, want), (value, n)
+                assert ours[0].shape == (n,)
 
     def test_index_arrays_are_left_alone(self):
         d = np.arange(200, dtype=np.int8) % 3
@@ -598,13 +625,15 @@ class TestDifferenceScan:
 
     def test_no_positions_on_a_stream_shorter_than_the_scan(self):
         empty = np.zeros(0, dtype=np.int64)
-        s, max_abs, err = recurrence._difference_scan(np.zeros(10, dtype=np.int8), 2.5,
-                                                      empty, empty, dbeta=1e-16)
-        assert s.shape == max_abs.shape == err.shape == (0,)
-        # extract_returns batches its return times through the scan
+        s, max_abs = recurrence._difference_scan(np.zeros(10, dtype=np.int8), 2.5,
+                                                 empty, empty)
+        assert s.shape == max_abs.shape == (0,)
+        # extract_returns batches its return times through the dot products,
+        # which build no window view on a view shorter than one window
         ctx = BetaContext.from_value("2.5")
         view = OrbitView.from_digits(ctx, [1, 0, 1, 1, 0, 1, 2, 0, 1, 0])
-        assert len(recurrence._batch_gaps(view, np.array([2, 3, 5]))) == 3
+        with mock.patch.object(recurrence, "sliding_window_view", side_effect=AssertionError):
+            assert (recurrence._batch_gaps(view, np.array([2, 3, 5])) == -1).all()
 
 
 class TestPeriodicityVerdict:
@@ -786,20 +815,89 @@ class TestReturnKernels:
         assert settled > 0.75 * total
 
     def test_scan_error_bound_holds(self):
+        # also with beta_f 1e-9 from beta and dbeta = 2e-9, which then carries
+        # most of err: the bound holds for any dbeta >= |beta - beta_f|
         rng = random.Random(88)
-        for value in ("7/5", "2.5", "10/3", "3"):
+        for value, off in itertools.product(("7/5", "2.5", "10/3", "3"), (0.0, 1e-9)):
             ctx = BetaContext.from_value(value)
-            beta, beta_f = ctx.beta_fraction, ctx.beta_float()
+            beta = ctx.beta_fraction
+            if off:
+                ctx.beta_float_bound = lambda b=float(beta) + off, e=2 * off: (b, e)
             d = np.array(random_digits(rng, ctx.alphabet_max, 400), dtype=np.int8)
             ia, ib = np.array(rng.sample(range(300), 60)), np.array(rng.sample(range(300), 60))
-            dbeta = 2.0 * float(abs(Fraction(beta_f) - beta))
-            s, _, err = recurrence._difference_scan(d, beta_f, ia.copy(), ib.copy(),
-                                                    dbeta=dbeta)
+            s, err = recurrence._dot_scan(ctx, d, ia, ib)
             for a, b, got, bound in zip(ia.tolist(), ib.tolist(), s.tolist(), err.tolist()):
                 exact = Fraction(0)
                 for i in range(48):
                     exact = exact * beta + int(d[a + i]) - int(d[b + i])
-                assert abs(exact - Fraction(got)) <= Fraction(bound), (value, a, b)
+                assert abs(exact - Fraction(got)) <= Fraction(bound), (value, off, a, b)
+
+    def test_scan_error_bound_holds_on_algebraic_bases(self):
+        # S as an exact element of Z[beta], enclosed on the root's 512-bit bracket
+        rng = random.Random(89)
+        for name in ("golden", "x^3-x-1"):
+            ctx = return_bases()[name]
+            poly = ctx.exact.poly
+            lo, hi = ctx.exact.bounds(512)
+            d = np.array(random_digits(rng, ctx.alphabet_max, 400), dtype=np.int8)
+            ia, ib = np.array(rng.sample(range(300), 60)), np.array(rng.sample(range(300), 60))
+            s, err = recurrence._dot_scan(ctx, d, ia, ib)
+            for a, b, got, bound in zip(ia.tolist(), ib.tolist(), s.tolist(), err.tolist()):
+                vec = [0] * ctx.exact.degree
+                for i in range(48):
+                    vec = multiply_by_root(vec, poly)
+                    vec[0] += int(d[a + i]) - int(d[b + i])
+                # each term is monotone in x > 0, so its ends bound it
+                low = sum(min(c * lo**k, c * hi**k) for k, c in enumerate(vec))
+                high = sum(max(c * lo**k, c * hi**k) for k, c in enumerate(vec))
+                worst = max(abs(low - Fraction(got)), abs(high - Fraction(got)))
+                assert worst <= Fraction(bound), (name, a, b)
+
+    def test_weights_are_the_powers_and_their_bounds_rounded_up(self):
+        gamma = Fraction(48, 2**53 - 48)
+        for name, ctx in return_bases().items():
+            empty = np.zeros(0, dtype=np.int64)
+            recurrence._dot_scan(ctx, np.zeros(48, dtype=np.int8), empty, empty)  # makes them
+            P, D = ctx._scan_weights
+            beta_f, dbeta = map(Fraction, ctx.beta_float_bound())
+            for i, (p, d) in enumerate(zip(P.tolist(), D.tolist())):
+                power = beta_f ** (47 - i)
+                assert p == float(power), (name, i)
+                e = (beta_f + dbeta) ** (47 - i) - power + abs(power - Fraction(p))
+                bound = (e + gamma * Fraction(p)) * (1 + 2 * gamma)
+                assert bound <= Fraction(d) <= bound * (1 + Fraction(1, 2**51)), (name, i)
+
+    def test_dot_products_settle_what_the_horner_scan_settles(self):
+        # the inputs of test_every_return_gap_matches_the_per_position_routine
+        # and test_settled_positions_need_no_exact_step
+        settled = 0
+        for seed, depths in ((81, (150, 600)), (82, (200, 800))):
+            rng = random.Random(seed)
+            for name, ctx in return_bases().items():
+                views = [OrbitView.from_digits(ctx, d) for d in return_streams(ctx, rng, depths)]
+                views.append(OrbitView.from_point(ctx, Fraction(rng.getrandbits(64), 1 << 64)))
+                for view in views:
+                    view.ensure(700)
+                    ns = first_digit_returns(view)
+                    gaps, horner = recurrence._batch_gaps(view, ns), oracle_horner_gaps(view, ns)
+                    kept = horner >= 0
+                    assert (gaps[kept] == horner[kept]).all(), name
+                    settled += int(kept.sum())
+        assert settled > 1000
+
+    def test_blocks_do_not_change_the_gaps(self, monkeypatch):
+        rng = random.Random(90)
+        cases = []
+        for name in ("2.5", "golden", "3"):
+            ctx = return_bases()[name]
+            for digits in return_streams(ctx, rng, (300, 900)):
+                view = OrbitView.from_digits(ctx, digits)
+                cases.append((view, first_digit_returns(view)))
+        want = [recurrence._batch_gaps(view, ns) for view, ns in cases]
+        assert sum(int((g >= 0).sum()) for g in want) > 100
+        monkeypatch.setattr(recurrence, "_SCAN_CHUNK", 7)
+        for (view, ns), gaps in zip(cases, want):
+            assert (recurrence._batch_gaps(view, ns) == gaps).all()
 
     def test_lambda_near_an_integer_is_left_to_the_exact_step(self, monkeypatch):
         # base 2, difference digits 1, 0^(a-1), 1 past the match: lambda sits

@@ -1,3 +1,5 @@
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -5,10 +7,12 @@ import pytest
 from betarec.algebraic import (
     PRECISION_CAP_BITS,
     PrecisionError,
+    ReduciblePolynomialError,
     RootBracket,
     floor_element,
     scaled_value,
 )
+from betarec.expansion import BetaContext
 
 
 def golden_bracket():
@@ -89,3 +93,29 @@ def test_degenerate_brackets():
     assert root.bounds(8) == (2, 2)  # the first midpoint is the root
     assert root.bounds(16) == (2, 2)  # resumed from the degenerate bracket
     assert (root.lo, root.hi) == (1, 3)
+
+
+def test_reducible_polynomials_raise_a_typed_error():
+    # (x^2 - x - 1)(x - 5) on [1, 2] and (x - 2)(x + 1) on [3/2, 3]: the
+    # expansion of 1 meets an element equal to an integer, which the
+    # coefficient test misses; the floor finds the shared factor at once
+    assert issubclass(ReduciblePolynomialError, ValueError)
+    for poly, lo, hi in (((5, 4, -6, 1), 1, 2), ((-2, -1, 1), Fraction(3, 2), 3)):
+        bracket = RootBracket(poly, Fraction(lo), Fraction(hi))
+        start = time.perf_counter()
+        with pytest.raises(ReduciblePolynomialError, match=re.escape(str(poly))):
+            BetaContext(bracket)
+        assert time.perf_counter() - start < 0.05
+        assert max(bracket._bounds) <= 192  # no precision was doubled
+
+
+def test_a_shared_factor_without_the_root_is_no_equality():
+    # (x + 1)(x^2 - x - 1) on [1, 2] and 3 + (beta + 1)(F(61) - F(60) beta),
+    # 3 + (phi + 1) psi**60 with psi = -1/phi: the bracket straddles 3 at 64
+    # bits, and the element minus 3 shares x + 1 with the polynomial, but
+    # that factor's root -1 is outside the bracket, so the floor goes on
+    root = RootBracket((-1, -2, 0, 1), Fraction(1), Fraction(2))
+    f_n, f_next = fibonacci_pair(60)
+    vec = [3 + f_next, f_next - f_n, -f_n]
+    assert floor_element(vec, 1, root, 64) == 3
+    assert max(root._bounds) > 64
