@@ -26,6 +26,8 @@ Everything here is internal plumbing for the exact elements of Q(beta) in
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -55,6 +57,69 @@ def _gcd(p: tuple[int, ...], q: list[int]) -> list[Fraction]:
                 a[i] -= f * c
         a, b = b, a
     return a
+
+
+def _divide_monic(p: tuple[int, ...], m: tuple[int, ...]) -> tuple[tuple[int, ...], bool]:
+    """The quotient of p by the monic m (coefficients constant term first,
+    len(p) >= len(m)), in integers, and whether m divides p exactly."""
+    rem = list(p)
+    top = len(m) - 1
+    quot = [0] * (len(p) - top)
+    for i in range(len(quot) - 1, -1, -1):
+        c = quot[i] = rem[i + top]
+        if c:
+            for j, mj in enumerate(m):
+                rem[i + j] -= c * mj
+    return tuple(quot), not any(rem[:top])
+
+
+@functools.cache
+def _cyclotomic(k: int) -> tuple[int, ...]:
+    """Phi_k: x^k - 1 divided by Phi_d for every proper divisor d of k."""
+    poly = (-1,) + (0,) * (k - 1) + (1,)
+    for d in range(1, k):
+        if k % d == 0:
+            poly = _divide_monic(poly, _cyclotomic(d))[0]
+    return poly
+
+
+def _totient_at_most(n: int) -> list[int]:
+    """Every k with Euler's phi(k) <= n.  A prime p divides such a k only
+    if p - 1 <= n, and phi(p^a) = p^(a-1) (p - 1) is multiplicative, so
+    these k are the products of powers of such primes with phi <= n."""
+    primes = [p for p in range(2, n + 2) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    found = [1]
+
+    def grow(k: int, phi: int, i: int) -> None:
+        for j in range(i, len(primes)):
+            kp, fp = k * primes[j], phi * (primes[j] - 1)
+            if fp > n:
+                return  # the primes increase, and so does p - 1
+            while fp <= n:
+                found.append(kp)
+                grow(kp, fp, j + 1)
+                kp, fp = kp * primes[j], fp * primes[j]
+    grow(1, 1, 0)
+    return sorted(found)
+
+
+def strip_cyclotomic(poly: tuple[int, ...]) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """poly divided by every cyclotomic polynomial that divides it, as often
+    as it does, and the factors divided out, in order.
+
+    poly is monic, constant term first.  Phi_k has degree phi(k), so only
+    the k with phi(k) at most the degree of poly are tried.
+    """
+    removed = []
+    for k in _totient_at_most(len(poly) - 1):
+        phi = _cyclotomic(k)
+        while len(phi) <= len(poly):
+            quot, exact = _divide_monic(poly, phi)
+            if not exact:
+                break
+            poly = quot
+            removed.append(phi)
+    return poly, removed
 
 
 def scaled_value(coeffs: tuple[int, ...], num: int, den: int) -> int:
@@ -222,8 +287,8 @@ def floor_element(
     test fails on an integer that the bracket straddles, but the element
     minus it and root.poly share a factor with the root in root's bracket,
     the value is that integer and root.poly is reducible:
-    ReduciblePolynomialError.  A shared factor without that root, such as
-    the x + 1 of some of ``approximate_beta``'s polynomials, is no equality.
+    ReduciblePolynomialError.  A shared factor without that root is no
+    equality.
     """
     if den <= 0:
         raise ValueError("denominator must be positive")

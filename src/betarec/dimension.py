@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -102,8 +102,6 @@ class DimReport:
     formula_value: float
     series_values: list[Fraction]
     mu_log_ratios: list[tuple[float, float]]
-    boxcount_slope: Optional[float] = None
-    boxcount_ci: Optional[tuple[float, float]] = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -111,8 +109,6 @@ class DimReport:
             "series_values": [str(v) for v in self.series_values],
             "series_floats": [float(v) for v in self.series_values],
             "mu_log_ratios": [[a, b] for a, b in self.mu_log_ratios],
-            "boxcount_slope": self.boxcount_slope,
-            "boxcount_ci": list(self.boxcount_ci) if self.boxcount_ci else None,
         }
 
 

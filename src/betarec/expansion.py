@@ -85,6 +85,7 @@ from .algebraic import (
     RootBracket,
     floor_element,
     multiply_by_root,
+    strip_cyclotomic,
 )
 from .numerics import BoundedReal, _as_fraction
 
@@ -849,7 +850,10 @@ def approximate_beta(ctx: BetaContext, N: int) -> BetaContext:
     root is irrational, as a rational root of a monic integer polynomial
     is an integer; it lies in [1, hi] for the upper end hi of this base's
     enclosure, as beta_N <= beta <= hi, and is not hi, so the polynomial is
-    positive at hi.
+    positive at hi.  The polynomial may carry cyclotomic factors (2.5 at
+    N = 14 carries x + 1); they are divided out, which keeps the root and
+    those signs: Phi_k > 0 on [1, inf) for k >= 2, and Phi_1 = x - 1 never
+    divides, as the polynomial at 1 is 1 - sum(e_i) <= -1.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -864,7 +868,7 @@ def approximate_beta(ctx: BetaContext, N: int) -> BetaContext:
     poly[N] = 1
     for i, e in enumerate(prefix, start=1):
         poly[N - i] = -e
-    poly = tuple(poly)
+    poly, _ = strip_cyclotomic(tuple(poly))
     return BetaContext(RootBracket(poly, Fraction(1), ctx.beta_bounds().hi),
                        ctx.precision_bits)
 

@@ -4,10 +4,11 @@ return-depth profiles, and the digit-structure forced by a deep return.
 The orbit of x under T(y) = beta*y mod 1 is the shift on its digit stream,
 so every distance |T^n x - x| is controlled by the longest common prefix of
 the stream and its shift (one Z-array computes all of them) together with
-the value of the difference series past the first disagreement.  That
-difference series is evaluated by an exact integer recurrence: a floating
-recurrence loses all precision exactly in the deep-cancellation cases this
-module exists to measure.
+the value of the difference series past the first disagreement.  Float
+scans of 48 difference digits settle most positions: return depths through
+a certified bound on a dot product's error, the exponent series through a
+margin test.  The rest, where the series cancels deeply, take the exact
+walk over elements of Q(beta).
 """
 
 from __future__ import annotations
@@ -222,9 +223,14 @@ class OrbitView:
         return len(self._digits)
 
     def ensure(self, n: int) -> int:
-        """Extend the stream to at least n digits where possible; returns depth."""
+        """Extend the stream to at least n digits where possible; returns depth.
+
+        The one depth rule: a point view grows to at least twice its depth
+        and 256 digits, but never past ``_SCAN_CAP`` by doubling; a larger n
+        is served in full.  Digit views never grow.
+        """
         if self._stream is not None and len(self._digits) < n:
-            target = max(n, 2 * len(self._digits), 256)
+            target = max(n, min(2 * len(self._digits), _SCAN_CAP), 256)
             self._stream.extend(self._digits, target - len(self._digits))
         return len(self._digits)
 
@@ -266,16 +272,14 @@ class OrbitView:
         return n + self.z(n) >= len(self._digits)
 
 
-def digit_period(view: OrbitView, scan_depth: Optional[int] = None) -> Optional[int]:
-    """Smallest period of the available digit stream, up to half its depth.
+def digit_period(view: OrbitView) -> Optional[int]:
+    """Smallest period of the digits the view holds, up to half its depth.
 
-    A reported period is evidence of a periodic point, not a proof; both
-    recurrence exponents degenerate to infinity on periodic points, so they
-    are handled separately.
+    Extends nothing.  A reported period is evidence of a periodic point, not
+    a proof; both recurrence exponents degenerate to infinity on periodic
+    points, so they are handled separately.
     """
-    d = view.ensure(scan_depth or view.depth or 512)
-    if scan_depth is not None:
-        d = min(d, scan_depth)
+    d = view.depth
     half = d // 2
     z = view.z_values()[1 : half + 1]
     hits = np.flatnonzero(z >= d - np.arange(1, half + 1))
@@ -297,9 +301,10 @@ class LambdaBounds:
     match_len: int
 
 
-# neg_log_distance first asks for this many digits past n, stops once the
-# partial sum exceeds 2**_CERTAINTY_BITS times its tail bound, and extends a
-# point view's stream to at most _SCAN_CAP digits (a guard for periodic points)
+# neg_log_distance first asks for this many digits past n and stops once the
+# partial sum exceeds 2**_CERTAINTY_BITS times its tail bound; OrbitView.ensure
+# doubles a point view's depth up to _SCAN_CAP digits, and readers censor there
+# (a guard for periodic points, whose matches never end)
 _LOOKAHEAD = 64
 _CERTAINTY_BITS = 24
 _SCAN_CAP = 1 << 21
@@ -321,14 +326,12 @@ def neg_log_distance(view: OrbitView, n: int) -> LambdaBounds:
         raise ValueError("n must be at least 1")
     if view.ensure(n + _LOOKAHEAD) <= n:
         raise ValueError("insufficient digit depth")
+    # while the match at n runs to the end, ask for one digit more
+    while view.z_censored(n) and view.depth < _SCAN_CAP:
+        depth = view.depth
+        if view.ensure(depth + 1) == depth:
+            break  # a digit view holds no more
     j = view.z(n)
-    if view.z_censored(n) and view._stream is not None:
-        while view.z_censored(n) and view.depth < _SCAN_CAP:
-            before = view.depth
-            view.ensure(2 * view.depth)
-            if view.depth == before:
-                break
-        j = view.z(n)
     amax = max(view.ctx.alphabet_max, 1)
     beta_f = view.ctx.beta_float()
     lb = math.log2(beta_f)
@@ -342,9 +345,8 @@ def neg_log_distance(view: OrbitView, n: int) -> LambdaBounds:
         ia = n + j + L
         ib = j + L
         if ia >= base:
-            if view._stream is not None and base < _SCAN_CAP:
-                base = view.ensure(min(2 * max(base, ia + 64), _SCAN_CAP))
-                digits = view._digits
+            if base < _SCAN_CAP:
+                base = view.ensure(ia + 1)  # extends digits in place
             if ia >= base:
                 # stream exhausted: the distance may be anything below the bound
                 log2s = acc.log2_abs()
@@ -782,9 +784,6 @@ class ExponentEstimate:
     def neg_log(self) -> list[float]:
         return [] if self.lam is None else self.lam.tolist()
 
-    def ratios(self) -> list[float]:
-        return [lam / n for n, lam in enumerate(self.neg_log, start=1)]
-
 
 def _lambda_series(view: OrbitView, n_max: int) -> tuple[np.ndarray, int]:
     """Midpoints of -log_beta |T^n x - x| for n = 1..n_max, batched.
@@ -800,20 +799,18 @@ def _lambda_series(view: OrbitView, n_max: int) -> tuple[np.ndarray, int]:
     if cache is not None and cache[0] == n_max:
         return cache[1], cache[2]
     n_arr = np.arange(1, n_max + 1)
-    # make sure every position can see its whole match plus the scan window
-    probe = 0
+    depth = view.ensure(n_max + 256)
+    if depth <= n_max:
+        raise StreamTooShortError(f"digit stream of depth {depth} is too short "
+                                  f"for n_max {n_max}")
+    # ask for every position's whole match plus the scan window, until the
+    # view holds them, reaches the cap or stops growing
     while True:
-        depth = view.ensure(max(n_max + 256, 2 * view.depth if probe else 0))
-        if depth <= n_max:
-            raise StreamTooShortError(f"digit stream of depth {depth} is too short "
-                                      f"for n_max {n_max}")
         j_arr = view.z_values()[1 : n_max + 1]
         need = int((n_arr + j_arr).max()) + 1 + _SCAN_STEPS
-        if need <= depth or view._stream is None or depth >= _SCAN_CAP:
+        if need <= depth or depth >= _SCAN_CAP or view.ensure(need) == depth:
             break
-        probe += 1
-        view.ensure(need)
-    depth = view.depth
+        depth = view.depth
     amax = max(view.ctx.alphabet_max, 1)
     # zero padding past the stream: positions that read it are discarded below
     arr = view._digit_array()
@@ -851,11 +848,11 @@ def _check_periodic(view: OrbitView, n_max: int) -> bool:
     if view._periodic is not None and view._periodic[0] == key:
         return view._periodic[1]
     view.ensure(2 * n_max)
-    periodic = digit_period(view, view.depth) is not None
+    periodic = digit_period(view) is not None
     if periodic and view._stream is not None:
         # extend: a genuine period survives, an artefact of shallow depth won't
         view.ensure(4 * view.depth)
-        periodic = digit_period(view, view.depth) is not None
+        periodic = digit_period(view) is not None
     view._periodic = (key, periodic)
     return periodic
 

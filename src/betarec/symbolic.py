@@ -152,20 +152,6 @@ def is_admissible(w: Word, ctx: BetaContext) -> bool:
     return automaton_for(ctx, len(w)).accepts(w)
 
 
-def is_admissible_naive(w: Word, ctx: BetaContext) -> bool:
-    """Direct suffix-by-suffix lexicographic check, used as an oracle."""
-    if any(d < 0 for d in w):
-        raise ValueError("digits are non-negative")
-    if any(d > ctx.alphabet_max for d in w):
-        return False
-    n = len(w)
-    star = ctx.eps_star(n)
-    for j in range(n):
-        if w[j:] > star[: n - j]:
-            return False
-    return True
-
-
 def count_admissible(ctx: BetaContext, n: int) -> int:
     """Exact number of admissible words of length n."""
     if n < 0:

@@ -23,6 +23,11 @@ The root-bracket oracle is the Fraction bisection of the isolating bracket
 that the grid-cell computation of ``RootBracket.bounds`` replaced: Newton's
 method proposes the cell and exact integer signs certify it.  Brackets,
 degenerate ones included, must be equal.
+
+The truncation-polynomial oracles take cyclotomic polynomials from their
+roots of unity and decide divisibility by a float resultant; the factors
+``strip_cyclotomic`` divides out of a Parry polynomial must multiply back
+to it, and none may divide the quotient.
 """
 
 import math
@@ -30,6 +35,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -853,3 +859,113 @@ class TestRootBrackets:
                 # one sign for the direction, and more than the two that a
                 # good guess needs
                 assert len(signs) > 3, (start, bits)
+
+
+# ---------------------------------------------------------------------------
+# truncation polynomials
+# ---------------------------------------------------------------------------
+
+
+def oracle_totients(limit):
+    """[phi(0), ..., phi(limit)] by a sieve: phi(m) = m prod (1 - 1/p)."""
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:  # no smaller prime divides p
+            for m in range(p, limit + 1, p):
+                phi[m] -= phi[m] // p
+    return phi
+
+
+def primitive_roots_of_unity(k):
+    return np.exp(2j * np.pi * np.array([j for j in range(k) if math.gcd(j, k) == 1]) / k)
+
+
+def oracle_cyclotomic(k):
+    """Phi_k, constant term first, as the rounded product of x - zeta over
+    the primitive k-th roots of unity zeta."""
+    coeffs = np.poly(primitive_roots_of_unity(k)).real[::-1]
+    rounded = np.rint(coeffs)
+    assert np.abs(coeffs - rounded).max() < 1e-6
+    return tuple(int(c) for c in rounded)
+
+
+def oracle_no_common_root(poly, k):
+    """Whether Phi_k does not divide poly, an integer polynomial of degree
+    at most 40 with coefficients below 10.  The product of |poly| over the
+    primitive k-th roots of unity is |Res(Phi_k, poly)|, an integer, so at
+    least 1 when they share no root; when they do, Phi_k divides poly and
+    every factor is 0.  Float rounding moves each factor by far less than
+    1e-9, so a product of at least 1/2 decides."""
+    values = np.polyval(np.array(poly[::-1], dtype=float), primitive_roots_of_unity(k))
+    return float(np.prod(np.abs(values))) >= 0.5
+
+
+def parry_polynomial(ctx, N):
+    """x^N - sum e_i x^(N-i) over the first N digits of 1, constant term first."""
+    return tuple(-e for e in reversed(ctx.eps_star(N))) + (1,)
+
+
+def poly_product(*polys):
+    out = (1,)
+    for p in polys:
+        acc = [0] * (len(out) + len(p) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(p):
+                acc[i + j] += a * b
+        out = tuple(acc)
+    return out
+
+
+def truncation_bases():
+    return {"2.5": BetaContext.from_value("2.5"), "7/5": BetaContext.from_value("7/5"),
+            "10/3": BetaContext.from_value("10/3"), "9/5": BetaContext.from_value("9/5"),
+            "37/10": BetaContext.from_value("37/10"), "golden": BetaContext.golden(),
+            "x^3-x-1": BetaContext.from_root(CUBIC, 1, 2)}
+
+
+# the valid truncations N <= 40 of the bases above whose Parry polynomial
+# carries a cyclotomic factor
+REDUCIBLE_TRUNCATIONS = {
+    "2.5": (14, 20, 22, 24, 30), "7/5": (11, 28), "10/3": (6,),
+    "9/5": (4, 13, 21, 24, 27, 35, 37), "x^3-x-1": (31,),
+}
+
+
+class TestTruncationPolynomials:
+    def test_cyclotomic_factors_are_divided_out(self):
+        # phi(k) >= sqrt(k/2), so every k with phi(k) <= 40 is below 3,200
+        phi = oracle_totients(2 * 40**2)
+        cyclotomic = {k: oracle_cyclotomic(k) for k in range(1, len(phi)) if phi[k] <= 40}
+        reducible = {}
+        for name, ctx in truncation_bases().items():
+            digits = ctx.eps_star(40)
+            for N in range(2, 41):
+                if digits[N - 1] == 0:
+                    continue
+                parry = parry_polynomial(ctx, N)
+                quotient, removed = algebraic.strip_cyclotomic(parry)
+                assert poly_product(quotient, *removed) == parry, (name, N)
+                assert all(f in cyclotomic.values() for f in removed), (name, N)
+                for k in cyclotomic:
+                    if phi[k] <= N:
+                        assert oracle_no_common_root(quotient, k), (name, N, k)
+                if removed:
+                    reducible.setdefault(name, []).append(N)
+        assert {name: tuple(ns) for name, ns in reducible.items()} == REDUCIBLE_TRUNCATIONS
+
+    def test_reducible_truncations_keep_their_brackets_and_digits(self):
+        # the root, its brackets and the digits of 1 are those the Parry
+        # polynomial gives, and by Parry the digits are the periodic
+        # (e_1, ..., e_(N-1), e_N - 1)
+        bases = truncation_bases()
+        for name, ns in REDUCIBLE_TRUNCATIONS.items():
+            ctx = bases[name]
+            for N in ns:
+                parry = parry_polynomial(ctx, N)
+                ours = approximate_beta(ctx, N)
+                ref = BetaContext(RootBracket(parry, Fraction(1), ctx.beta_bounds().hi))
+                assert len(ours.exact.poly) < len(parry)
+                for bits in (192, 1000):
+                    assert ours.exact.bounds(bits) == ref.exact.bounds(bits), (name, N)
+                period = ctx.eps_star(N)[:-1] + (ctx.eps_star(N)[-1] - 1,)
+                assert ours.eps_star(2000) == ref.eps_star(2000) == (period * 2000)[:2000]

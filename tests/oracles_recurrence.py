@@ -42,6 +42,7 @@ from betarec.algebraic import multiply_by_root
 from betarec.cantor import build_plan, sample_point
 from betarec.expansion import (
     BetaContext,
+    approximate_beta,
     beta_power_bounds,
     orbit_digit_stream,
     word_value_fraction,
@@ -92,10 +93,8 @@ def oracle_z(view, n):
     return cache[1][n]
 
 
-def oracle_digit_period(view, scan_depth=None):
-    d = view.ensure(scan_depth or view.depth or 512)
-    if scan_depth is not None:
-        d = min(d, scan_depth)
+def oracle_digit_period(view):
+    d = view.depth
     for p in range(1, d // 2 + 1):
         if oracle_z(view, p) >= d - p:
             return p
@@ -104,12 +103,12 @@ def oracle_digit_period(view, scan_depth=None):
 
 def oracle_check_periodic(view, n_max):
     view.ensure(2 * n_max)
-    p = oracle_digit_period(view, view.depth)
+    p = oracle_digit_period(view)
     if p is None:
         return False
     if view._stream is not None:
         view.ensure(4 * view.depth)
-        return oracle_digit_period(view, view.depth) is not None
+        return oracle_digit_period(view) is not None
     return True
 
 
@@ -117,16 +116,18 @@ def oracle_lambda_series(view, n_max, scan_steps=48):
     cache = view.__dict__.get("_oracle_lambda")
     if cache is not None and cache[0] == n_max:
         return cache[1], cache[2]
-    probe = 0
+    # ask for the last digit the scan reads until the view holds it, reaches
+    # the cap or stops growing
+    depth = view.ensure(n_max + 256)
     while True:
-        depth = view.ensure(max(n_max + 256, 2 * view.depth if probe else 0))
         zs = [oracle_z(view, n) for n in range(1, n_max + 1)]
         need = max(n + 1 + z + scan_steps for n, z in zip(range(1, n_max + 1), zs))
-        if need <= depth or view._stream is None or depth >= 1 << 21:
+        if need <= depth or depth >= 1 << 21:
             break
-        probe += 1
-        view.ensure(need)
-    depth = view.depth
+        grown = view.ensure(need)
+        if grown == depth:
+            break
+        depth = grown
     # zero-padded past the stream; a position that reads the padding is bad
     d = np.zeros(depth + scan_steps, dtype=np.int64)
     d[:depth] = view._digits
@@ -509,21 +510,27 @@ class TestDigitPeriod:
             assert oracle_digit_period(v) is None
 
     def test_scan_depth_below_depth(self, base25):
+        # a periodic head, then noise: views of the stream cut at each depth
         rng = random.Random(13)
         for _ in range(30):
             block = random_digits(rng, 2, rng.randrange(1, 6))
             head = block * rng.randrange(2, 20)
             digits = head + random_digits(rng, 2, rng.randrange(1, 100))
-            v = OrbitView.from_digits(base25, digits)
             for scan in (1, 2, 3, len(head), len(head) + 1, len(digits) - 1):
-                assert digit_period(v, scan) == oracle_digit_period(v, scan)
+                v = OrbitView.from_digits(base25, digits[:scan])
+                assert digit_period(v) == oracle_digit_period(v)
 
     def test_point_backed_view(self, two):
-        for x in (Fraction(1, 3), Fraction(5, 7), Fraction(123456789, 1 << 40)):
+        # digit_period reads the digits the view holds and extends nothing
+        for x, period in ((Fraction(1, 3), 2), (Fraction(5, 7), 3),
+                          (Fraction(123456789, 1 << 40), None)):
             v = OrbitView.from_point(two, x)
             w = OrbitView.from_point(two, x)
-            assert digit_period(v) == oracle_digit_period(w)
-            assert v.depth == w.depth
+            assert digit_period(v) is None and v.depth == 0
+            v.ensure(512)
+            w.ensure(512)
+            assert digit_period(v) == oracle_digit_period(w) == period
+            assert v.depth == w.depth == 512
 
 
 class TestEstimates:
@@ -539,9 +546,16 @@ class TestEstimates:
             x = Fraction(rng.getrandbits(60), 1 << 60)
             assert_estimates_agree(lambda: OrbitView.from_point(base25, x), 400)
         # base 2: the match at n = 3 runs 557 digits, so the series needs
-        # 612 digits, past the 600 that the periodicity check reads
+        # 612 digits, past the 600 that the periodicity check reads; one
+        # request for them doubles the view once, to 1,200
         x = word_value_fraction(((1, 0, 0) * 187)[:560] + (0, 1) * 20 + (1,), Fraction(2))
-        assert_estimates_agree(lambda: OrbitView.from_point(two, x), 300)
+        views = []
+
+        def make_view():
+            views.append(OrbitView.from_point(two, x))
+            return views[-1]
+        assert_estimates_agree(make_view, 300)
+        assert views[0].depth == 1200
 
     def test_periodic_digit_stream(self, base25):
         digits = [2, 0, 1] * 400
@@ -641,9 +655,9 @@ class TestPeriodicityVerdict:
         calls = []
         inner = recurrence.digit_period
 
-        def counted(view, scan_depth=None):
+        def counted(view):
             calls.append(view.depth)
-            return inner(view, scan_depth)
+            return inner(view)
         monkeypatch.setattr(recurrence, "digit_period", counted)
         return calls
 
@@ -783,6 +797,21 @@ class TestReturnKernels:
                 assert outcome(lambda: list(recurrence._return_gaps(view, np.array(ns)))) \
                     == outcome(lambda: self.per_position_gaps(ref, ns)), name
                 assert view.depth == ref.depth
+
+    def test_a_truncation_on_its_minimal_polynomial_is_batched(self):
+        # beta_4 of 9/5 is a Pisot root of a cubic; its Parry polynomial
+        # carries x + 1, whose root on the unit circle kept the filter off
+        ctx = approximate_beta(BetaContext.from_value("9/5"), 4)
+        assert ctx.exact.poly == (-1, 1, -2, 1) and recurrence._is_pisot(ctx.exact.poly)
+        rng = random.Random(84)
+        settled = 0
+        for d in return_streams(ctx, rng, (300, 600)):
+            view, ref = OrbitView.from_digits(ctx, d), OrbitView.from_digits(ctx, d)
+            ns = first_digit_returns(view)
+            settled += int((recurrence._batch_gaps(view, ns) >= 0).sum())
+            assert list(recurrence._return_gaps(view, ns)) == \
+                self.per_position_gaps(ref, ns.tolist())
+        assert settled > 0
 
     def test_settled_positions_need_no_exact_step(self, monkeypatch):
         # a settled position is one the per-position routine answers alike,

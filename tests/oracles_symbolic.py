@@ -10,7 +10,9 @@ equal, whatever order the words come in.
 
 The language oracle is the per-digit KMP walk that the follower
 automaton's transition table replaced (``oracle_common.OracleFollower``).
-Every table cell must be equal.
+Every table cell must be equal.  ``is_admissible_naive`` is Parry's
+definition read directly, suffix by suffix, for the tests of the language
+elsewhere.
 """
 
 import functools
@@ -31,6 +33,20 @@ from betarec.symbolic import (
 )
 from oracle_common import CUBIC, OracleFollower, parent_bases
 from oracles_expansion import oracle_beta_power_bounds, oracle_word_sum_bounds
+
+
+def is_admissible_naive(w, ctx):
+    """Direct suffix-by-suffix lexicographic check, used as an oracle."""
+    if any(d < 0 for d in w):
+        raise ValueError("digits are non-negative")
+    if any(d > ctx.alphabet_max for d in w):
+        return False
+    n = len(w)
+    star = ctx.eps_star(n)
+    for j in range(n):
+        if w[j:] > star[: n - j]:
+            return False
+    return True
 
 
 def oracle_greedy_tail(w, ctx, refine):

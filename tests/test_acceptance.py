@@ -36,9 +36,9 @@ from betarec.symbolic import (
     count_admissible,
     cylinder,
     enumerate_admissible,
-    is_admissible_naive,
     max_nonfull_run,
 )
+from oracles_symbolic import is_admissible_naive
 
 GRID = 100_000
 

@@ -29,8 +29,8 @@ from betarec.symbolic import (
     count_admissible,
     enumerate_admissible,
     is_admissible,
-    is_admissible_naive,
 )
+from oracles_symbolic import is_admissible_naive
 
 BASES = {
     "2.5": BetaContext.from_value("2.5"),

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from betarec import recurrence
 from betarec.expansion import BetaContext, beta_expand, word_value_fraction
 from betarec.recurrence import (
     FormViolationError,
@@ -55,6 +56,14 @@ class TestDistance:
         v = OrbitView.from_point(two, Fraction(1, 3))
         assert recurrence_distance(v, 2).center == 0
         assert recurrence_distance(v, 1).center == Fraction(1, 3)
+
+    def test_periodic_point_stops_at_the_scan_cap(self, two):
+        # the match at 2 never ends, so the view doubles up to the cap and
+        # no further: 3,000 digits reach 1,536,000, then 2^21, not 3,072,000
+        v = OrbitView.from_point(two, Fraction(1, 3))
+        v.ensure(3000)
+        assert neg_log_distance(v, 2).censored
+        assert v.depth == recurrence._SCAN_CAP == 1 << 21
 
     def test_compare_distance_power(self, two):
         v = OrbitView.from_point(two, Fraction(1, 3))

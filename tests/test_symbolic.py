@@ -10,11 +10,11 @@ from betarec.symbolic import (
     enumerate_admissible,
     full_window_check,
     is_admissible,
-    is_admissible_naive,
     is_full,
     lex_compare,
     max_nonfull_run,
 )
+from oracles_symbolic import is_admissible_naive
 
 
 @pytest.fixture(scope="module")
