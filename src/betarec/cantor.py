@@ -532,7 +532,7 @@ def build_plan(ctx: BetaContext, r_hat, r, delta="0.1", K: int = 6,
 
     The canonical scales are re-indexed until every gap holds at least one
     whole block (t_k >= 1) and shifted so n_1 > 2M; both operations preserve
-    the defining ratio limits.
+    the defining ratio limits.  On r_hat = r/(1 + r) every gap is one digit.
     """
     if r == math.inf:
         raise ValueError("r = inf has no construction plan")
@@ -540,6 +540,9 @@ def build_plan(ctx: BetaContext, r_hat, r, delta="0.1", K: int = 6,
         raise ValueError("r_hat = inf has no construction plan")
     r_hat = _as_fraction(r_hat)
     r = _as_fraction(r)
+    if r > 0 and r_hat == r / (1 + r):
+        raise ConstructionError("r_hat = r/(1 + r) is the boundary of the countable regime: "
+                                "every gap n_(k+1) - m_k is one digit, shorter than a block")
     delta = _as_fraction(delta)
     choice = choose_N_M(ctx, delta)
     N, M, tctx = choice.N, choice.M, choice.trunc_ctx

@@ -293,7 +293,9 @@ def digit_period(view: OrbitView) -> Optional[int]:
 
 @dataclass(frozen=True)
 class LambdaBounds:
-    """Certified bounds on -log_beta |T^n x - x| (the per-return depth)."""
+    """Certified bounds on -log_beta |T^n x - x| (the per-return depth); on
+    an algebraic base that is not Pisot they rest on the float ``log2_abs`` of
+    an exact sum, checked against ``compare_distance_power`` on a Salem base."""
 
     lo: float
     hi: float
@@ -309,7 +311,9 @@ _LOOKAHEAD = 64
 _CERTAINTY_BITS = 24
 _SCAN_CAP = 1 << 21
 # float steps of the batched difference scan; _lambda_series keeps a float
-# midpoint when |s| exceeds _FLOAT_MARGIN times the tail bound
+# midpoint when |s| exceeds _FLOAT_MARGIN times the tail bound T = amax/(beta - 1).
+# A partial sum past 2T grows by (beta + 1)/2 a step, and those before it stay
+# below 2T, so such an s is the largest partial sum: no dip went unseen
 _SCAN_STEPS = 48
 _FLOAT_MARGIN = 1 << 20
 
@@ -371,33 +375,31 @@ _SCAN_CHUNK = 1 << 14
 
 
 def _difference_scan(d: np.ndarray, beta_f: float, ia: np.ndarray,
-                     ib: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                     ib: np.ndarray) -> np.ndarray:
     """The float difference recurrence s <- beta_f s + d[ia + i] - d[ib + i], batched.
 
     Each position starts from s = 0 and reads one digit pair a step for
     ``_SCAN_STEPS`` = 48 steps, so s approximates S = sum_(i<48) c_i
-    beta^(47-i) with c_i = d[ia + i] - d[ib + i].  Positions run in blocks
-    of ``_SCAN_CHUNK``, all 48 steps on one block before the next: a block
-    gathers the 48-digit windows of d at its ia and at its ib (one row copy
-    per position), takes their difference once, and step i adds row i of
-    its transpose.  ia and ib are not changed.
-    Returns s and the running maximum of |s|.
+    beta^(47-i) with c_i = d[ia + i] - d[ib + i]; every window must lie
+    inside d.  Positions run in blocks of ``_SCAN_CHUNK``, all 48 steps on
+    one block before the next: a block gathers the 48-digit windows of d at
+    its ia and at its ib (one row copy per position), takes their
+    difference once, and step i adds row i of its transpose.  ia and ib are
+    not changed.
     """
     s = np.zeros(ia.shape[0], dtype=np.float64)
-    max_abs = np.zeros(ia.shape[0], dtype=np.float64)
     if not ia.shape[0]:
-        return s, max_abs  # d may be shorter than one window
+        return s  # d may be shorter than one window
     windows = sliding_window_view(d, _SCAN_STEPS)
     for lo in range(0, ia.shape[0], _SCAN_CHUNK):
         part = slice(lo, lo + _SCAN_CHUNK)
-        sc, mc = s[part], max_abs[part]
+        sc = s[part]
         # row i holds c_i of every position in the block
         diffs = (windows[ia[part]] - windows[ib[part]]).T.copy()
         for c in diffs:
             sc *= beta_f
             sc += c
-            np.maximum(mc, np.abs(sc), out=mc)
-    return s, max_abs
+    return s
 
 
 def _difference(view: OrbitView, n: int):
@@ -789,11 +791,10 @@ def _lambda_series(view: OrbitView, n_max: int) -> tuple[np.ndarray, int]:
     """Midpoints of -log_beta |T^n x - x| for n = 1..n_max, batched.
 
     A fixed number of float recurrence steps settles the vast majority of
-    positions at once; positions that cancel too deeply, dip and recover
-    (where the float recurrence loses precision), or run off the stream are
-    recomputed with the exact per-position routine.  Returns the series as
-    a read-only array, kept on the view, and the number of censored
-    positions.
+    positions at once; those whose sum does not clear the margin (deep
+    cancellation) or whose window runs off the stream take the exact
+    per-position routine.  Returns the series as a read-only array, kept on
+    the view, and the number of censored positions.
     """
     cache = getattr(view, "_lambda_cache", None)
     if cache is not None and cache[0] == n_max:
@@ -811,23 +812,17 @@ def _lambda_series(view: OrbitView, n_max: int) -> tuple[np.ndarray, int]:
         if need <= depth or depth >= _SCAN_CAP or view.ensure(need) == depth:
             break
         depth = view.depth
-    amax = max(view.ctx.alphabet_max, 1)
-    # zero padding past the stream: positions that read it are discarded below
-    arr = view._digit_array()
-    d = np.zeros(depth + _SCAN_STEPS + 1, dtype=arr.dtype)
-    d[:depth] = arr
     beta_f = view.ctx.beta_float()
-    tail = amax / (beta_f - 1.0)
-    ia = n_arr + j_arr
-    bad = ia + (_SCAN_STEPS - 1) >= depth
-    s, max_abs = _difference_scan(d, beta_f, ia, j_arr)
-    abs_s = np.abs(s)
-    ok = (~bad) & (abs_s > _FLOAT_MARGIN * tail) & (max_abs < _FLOAT_MARGIN * abs_s)
+    tail = max(view.ctx.alphabet_max, 1) / (beta_f - 1.0)
+    # scan the windows inside the stream; an overflowed s (beta > ~2^21) goes exact
+    sel = np.flatnonzero(n_arr + j_arr + _SCAN_STEPS <= depth)
+    j = j_arr[sel]
+    abs_s = np.abs(_difference_scan(view._digit_array(), beta_f, n_arr[sel] + j, j))
+    keep = (abs_s > _FLOAT_MARGIN * tail) & np.isfinite(abs_s)
     lam = np.full(n_max, np.nan)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam[ok] = j_arr[ok] + _SCAN_STEPS - np.log(abs_s[ok]) / math.log(beta_f)
+    lam[sel[keep]] = j[keep] + _SCAN_STEPS - np.log(abs_s[keep]) / math.log(beta_f)
     censored = 0
-    for idx in np.nonzero(~ok)[0]:
+    for idx in np.flatnonzero(np.isnan(lam)):
         lb = neg_log_distance(view, int(idx) + 1)
         if lb.censored:
             censored += 1

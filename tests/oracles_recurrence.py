@@ -19,7 +19,11 @@ the digits a view ends up holding, and comparison signs must be equal.
 
 The difference-scan oracle is the loop over all positions at once that
 advanced its index arrays in place, which the blocked scan over digit
-windows replaced; s and the running maximum must be equal bit for bit.
+windows replaced; s must be equal bit for bit.  It still keeps the running
+maximum of |s|, and ``oracle_lambda_series`` still scans a zero-padded copy
+of the stream and keeps a midpoint only where that maximum stays below
+2^20 |s|: the library dropped both, since the margin test implies the
+second (``tests/test_properties.py`` checks the implication).
 With its running error bound it is also the Horner filter that the return
 depths' dot products replaced (``oracle_horner_gaps``): the dot products
 must settle every return time it settles, to the same gap, and their error
@@ -587,6 +591,34 @@ class TestEstimates:
                                       1000)
         assert any(v < 0 for v in r.neg_log)
 
+    @pytest.mark.parametrize("value", ["golden", "7/5", "x^3-x-1"])
+    def test_bases_where_the_margin_rejects(self, value):
+        # the float test keeps every golden midpoint, about 4 in 5 on 7/5 and
+        # none on x^3 - x - 1, where every position takes the exact path; the
+        # points have long periods (denominator 2^61 - 1), so none looks periodic
+        ctx = (BetaContext.golden() if value == "golden"
+               else BetaContext.from_root(CUBIC, 1, 2) if value == "x^3-x-1"
+               else BetaContext.from_value(value))
+        rng = random.Random(25)
+        for _ in range(2):
+            x = Fraction(rng.getrandbits(60), (1 << 61) - 1)
+            digits = OrbitView.from_point(ctx, x).digits(1500)
+            r, _ = assert_estimates_agree(lambda: OrbitView.from_digits(ctx, digits), 1000)
+            assert math.isfinite(r.value)
+            r, _ = assert_estimates_agree(lambda: OrbitView.from_point(ctx, x), 400)
+            assert math.isfinite(r.value)
+
+    def test_float_sums_that_overflow(self):
+        # past beta = 2^21.3 a 48-step sum can overflow to inf, which passes
+        # the margin test; the library leaves it to the exact path, as the
+        # oracle's dip check (inf < 2^20 inf fails) did
+        ctx = BetaContext.from_value(1 << 22)
+        digits = OrbitView.from_point(ctx, Fraction(123456789123456789,
+                                                    987654321987654323)).digits(600)
+        with np.errstate(over="ignore"):
+            r, _ = assert_estimates_agree(lambda: OrbitView.from_digits(ctx, digits), 300)
+        assert all(math.isfinite(v) for v in r.neg_log)
+
     def test_stream_too_short_for_n_max(self, two):
         digits = [1, 0, 0, 1, 1, 0, 1, 0, 0, 0]
         with pytest.raises(IndexError):
@@ -609,8 +641,8 @@ class TestDifferenceScan:
         return a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_blocks_match_the_whole_array_loop(self):
-        # zero-padded digits as _lambda_series lays them out: positions
-        # n + z(n) read up to the padding, and some match runs are long
+        # unpadded digits as _lambda_series reads them: every window lies in
+        # the stream, some end on its last digit, and some match runs are long
         chunk = recurrence._SCAN_CHUNK
         rng = np.random.default_rng(131)
         for value in ("2.5", "7/5"):
@@ -618,16 +650,15 @@ class TestDifferenceScan:
             beta_f = ctx.beta_float()
             for n in (0, 1, chunk - 1, chunk, chunk + 1, 50_003):
                 depth = 2 * n + 100
-                d = np.zeros(depth + 49, dtype=np.int8)
-                d[:depth] = rng.integers(0, ctx.alphabet_max + 1, depth)
+                d = rng.integers(0, ctx.alphabet_max + 1, depth).astype(np.int8)
                 j = rng.integers(0, 40, n)
                 j[::97] = rng.integers(0, n + 1, j[::97].shape[0])
-                ia = np.minimum(np.arange(1, n + 1) + j, depth - 1)
+                ia = np.minimum(np.arange(1, n + 1) + j, depth - 48)
+                ia[-1:] = depth - 48
                 ours = recurrence._difference_scan(d, beta_f, ia, j)
-                ref = oracle_difference_scan(d, beta_f, ia, j)
-                for got, want in zip(ours, ref[:2]):
-                    assert self.same_bits(got, want), (value, n)
-                assert ours[0].shape == (n,)
+                s, _, _ = oracle_difference_scan(d, beta_f, ia, j)
+                assert self.same_bits(ours, s), (value, n)
+                assert ours.shape == (n,)
 
     def test_index_arrays_are_left_alone(self):
         d = np.arange(200, dtype=np.int8) % 3
@@ -639,15 +670,18 @@ class TestDifferenceScan:
 
     def test_no_positions_on_a_stream_shorter_than_the_scan(self):
         empty = np.zeros(0, dtype=np.int64)
-        s, max_abs = recurrence._difference_scan(np.zeros(10, dtype=np.int8), 2.5,
-                                                 empty, empty)
-        assert s.shape == max_abs.shape == (0,)
+        s = recurrence._difference_scan(np.zeros(10, dtype=np.int8), 2.5, empty, empty)
+        assert s.shape == (0,) and s.dtype == np.float64
         # extract_returns batches its return times through the dot products,
         # which build no window view on a view shorter than one window
         ctx = BetaContext.from_value("2.5")
         view = OrbitView.from_digits(ctx, [1, 0, 1, 1, 0, 1, 2, 0, 1, 0])
         with mock.patch.object(recurrence, "sliding_window_view", side_effect=AssertionError):
             assert (recurrence._batch_gaps(view, np.array([2, 3, 5])) == -1).all()
+            # nor does the lambda series, whose positions all take the exact path
+            lam, _ = recurrence._lambda_series(view, 5)
+        assert same_floats(lam.tolist(), oracle_lambda_series(
+            OrbitView.from_digits(ctx, view._digits), 5)[0])
 
 
 class TestPeriodicityVerdict:

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from betarec import cantor
 from betarec.cantor import (
     BlockPool,
     _rotations,
+    ConstructionError,
     CountableRegimeError,
     build_levels,
     build_plan,
@@ -60,6 +62,29 @@ class TestPlanSequences:
         k = 12
         assert abs((m[k] - n[k]) / n[k] - 1.0) < 1e-3
         assert abs((m[k] - n[k]) / n[k + 1] - 0.2) < 1e-3
+
+
+BOUNDARY_PAIRS = [("1/3", "1/2"), ("1/4", "1/3"), ("1/2", "1"), ("2/5", "2/3")]
+
+
+class TestBoundaryPairs:
+    """r_hat = r/(1 + r): the scales exist, but no gap ever holds a block."""
+
+    @pytest.mark.parametrize("r_hat, r", BOUNDARY_PAIRS)
+    def test_every_gap_is_one_digit(self, r_hat, r):
+        n, m = plan_sequences(r_hat, r, 12)
+        assert [n[k + 1] - m[k] for k in range(11)] == [1] * 11
+
+    @pytest.mark.parametrize("r_hat, r", BOUNDARY_PAIRS)
+    def test_build_plan_names_the_boundary_at_once(self, base25, r_hat, r, monkeypatch):
+        # raised before the scales are re-indexed, or even computed once
+        monkeypatch.setattr(cantor, "plan_sequences", None)
+        with pytest.raises(ConstructionError, match=r"boundary of the countable regime"):
+            build_plan(base25, r_hat, r, delta="0.5")
+
+    def test_a_pair_just_inside_still_builds(self, base25):
+        plan = build_plan(base25, "0.3", "1/2", delta="0.5", K=3)
+        assert all(plan.n_seq[k + 1] - plan.m_seq[k] >= plan.M for k in range(2))
 
 
 class TestChooseNM:

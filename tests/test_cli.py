@@ -248,6 +248,18 @@ class TestCliContract:
             assert payload["message"] == "r_hat = inf has no construction plan"
             jsonschema.validate(payload, schema)
 
+    def test_plan_commands_name_a_boundary_pair(self, capsys, schema):
+        for command in (("cantor", "plan"), ("dim", "series")):
+            code = main([*command, "--beta", "2.5", "--rhat", "1/3", "--r", "1/2"])
+            captured = capsys.readouterr()
+            assert code == 1
+            payload = json.loads(captured.out)
+            assert payload["error"] == "ConstructionError"
+            assert "boundary of the countable regime" in payload["message"]
+            assert "internal" not in payload
+            jsonschema.validate(payload, schema)
+            assert captured.err == ""
+
     def test_bad_arguments_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["count"])  # missing --n

@@ -12,10 +12,12 @@ t_K gap blocks past the last one.
 The float lambda batch is checked against ``neg_log_distance`` on drawn
 digit streams: the midpoints of ``_lambda_series`` lie in the per-position
 bounds, and the gaps ``_batch_gaps`` settles are those of
-``_depth_from_lambda``.
+``_depth_from_lambda``.  Its one float test implies the dip check it
+replaced: wherever |s| clears the margin, no partial sum exceeded |s|.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
@@ -30,6 +32,7 @@ from betarec.symbolic import (
     enumerate_admissible,
     is_admissible,
 )
+from oracles_recurrence import oracle_difference_scan
 from oracles_symbolic import is_admissible_naive
 
 BASES = {
@@ -111,6 +114,45 @@ def test_lambda_series_midpoints_lie_in_the_per_position_bounds(data):
         if not math.isnan(mid):
             lam = neg_log_distance(ref, n)
             assert lam.lo - tol <= mid <= lam.hi + tol, (n, mid, lam)
+
+
+@st.composite
+def near_cancelling_windows(draw, ctx):
+    """The digit streams of two points 2^-e apart (e = 40 or 64), one after
+    the other, and each window of the second paired with the same window of
+    the first: T^k y - T^k x is tiny, so the difference digits cancel deeply
+    and partial sums dip and recover."""
+    e = draw(st.sampled_from((40, 64)))
+    x = Fraction(draw(st.integers(0, (1 << e) - 2)), 1 << e)
+    length = 160
+    dx = OrbitView.from_point(ctx, x).digits(length)
+    dy = OrbitView.from_point(ctx, x + Fraction(1, 1 << e)).digits(length)
+    ib = np.arange(length - recurrence._SCAN_STEPS + 1)
+    return np.array(dx + dy), ib + length, ib
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_the_margin_implies_that_no_partial_sum_exceeds_s(data):
+    # |s| > margin T, T = amax/(beta - 1): a partial sum past 2T grows by
+    # (beta + 1)/2 a step and those before it stay below 2T, so the running
+    # maximum of the dip check that _lambda_series dropped is |s| itself
+    bases = {**RETURN_BASES, "10/3": BetaContext.from_value("10/3")}
+    ctx = bases[data.draw(st.sampled_from(sorted(bases)))]
+    if data.draw(st.booleans()):
+        digits = data.draw(digit_streams(ctx))
+        view = OrbitView.from_digits(ctx, digits)
+        n = np.arange(1, len(digits))
+        j = view.z_values()[1:]
+        inside = n + j + recurrence._SCAN_STEPS <= len(digits)
+        d, ia, ib = view._digit_array(), (n + j)[inside], j[inside]
+    else:
+        d, ia, ib = data.draw(near_cancelling_windows(ctx))
+    beta_f = ctx.beta_float()
+    s, max_abs, _ = oracle_difference_scan(d, beta_f, ia, ib)
+    abs_s = np.abs(s)
+    clears = abs_s > recurrence._FLOAT_MARGIN * max(ctx.alphabet_max, 1) / (beta_f - 1.0)
+    assert (max_abs[clears] == abs_s[clears]).all()
 
 
 @settings(max_examples=40)

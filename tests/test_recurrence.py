@@ -98,6 +98,24 @@ class TestDistance:
                 exact = -math.log(float(dist)) / math.log(2.5)
                 assert lam.lo - 1e-6 <= exact <= lam.hi + 1e-6
 
+    def test_bounds_hold_on_a_salem_base(self):
+        # not Pisot, so the float log2 of the partial sum inside
+        # neg_log_distance is checked against the exact comparison in Q(beta)
+        # one power outside each end of the interval
+        salem = BetaContext.from_root((1, -1, -1, -1, 1), Fraction(17, 10), Fraction(7, 4))
+        rng = random.Random(3)
+        checked = 0
+        for _ in range(3):
+            v = OrbitView.from_point(salem, Fraction(rng.getrandbits(60), (1 << 61) - 1))
+            for n in range(1, 150):
+                lam = neg_log_distance(v, n)
+                if lam.censored:
+                    continue
+                assert compare_distance_power(v, n, math.ceil(lam.lo) - 1) < 0, n
+                assert compare_distance_power(v, n, math.floor(lam.hi) + 1) > 0, n
+                checked += 1
+        assert checked > 400
+
 
 class TestShiftIdentity:
     def test_digits_of_image_are_shifted_stream(self, base25, two):
