@@ -275,15 +275,17 @@ class OrbitView:
 def digit_period(view: OrbitView) -> Optional[int]:
     """Smallest period of the digits the view holds, up to half its depth.
 
-    Extends nothing.  A reported period is evidence of a periodic point, not
-    a proof; both recurrence exponents degenerate to infinity on periodic
-    points, so they are handled separately.
+    Extends nothing; tests the candidates a block of ``_SCAN_CHUNK`` at a
+    time and stops at the first block with a hit.  A reported period is
+    evidence of a periodic point, not a proof; both recurrence exponents
+    degenerate to infinity on periodic points, so they are handled separately.
     """
-    d = view.depth
-    half = d // 2
-    z = view.z_values()[1 : half + 1]
-    hits = np.flatnonzero(z >= d - np.arange(1, half + 1))
-    return int(hits[0]) + 1 if hits.size else None
+    d, z = view.depth, view.z_values()[1:]
+    for part, p in _blocks(0, d // 2):
+        hits = np.flatnonzero(z[part] >= d - p)
+        if hits.size:
+            return int(p[hits[0]])
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +371,18 @@ def neg_log_distance(view: OrbitView, n: int) -> LambdaBounds:
                                     censored=False, match_len=j)
 
 
-# positions per block of the difference scans: a block's working arrays
-# (the 48 x block digit differences, as float64 in _dot_scan) stay near 6 MB
+# positions per block of every pass over stream positions: _difference_scan,
+# _dot_scan, the need, scan and fallback passes of _lambda_series, the two
+# reductions of _estimate and digit_period's candidates; a block's working
+# arrays (the 48 x block digit differences, float64 in _dot_scan) stay near 6 MB
 _SCAN_CHUNK = 1 << 14
+
+
+def _blocks(lo: int, hi: int):
+    """(part, n) per run of ``_SCAN_CHUNK`` indices of [lo, hi): the slice, n = index + 1."""
+    for start in range(lo, hi, _SCAN_CHUNK):
+        stop = min(start + _SCAN_CHUNK, hi)
+        yield slice(start, stop), np.arange(start + 1, stop + 1)
 
 
 def _difference_scan(d: np.ndarray, beta_f: float, ia: np.ndarray,
@@ -381,24 +392,20 @@ def _difference_scan(d: np.ndarray, beta_f: float, ia: np.ndarray,
     Each position starts from s = 0 and reads one digit pair a step for
     ``_SCAN_STEPS`` = 48 steps, so s approximates S = sum_(i<48) c_i
     beta^(47-i) with c_i = d[ia + i] - d[ib + i]; every window must lie
-    inside d.  Positions run in blocks of ``_SCAN_CHUNK``, all 48 steps on
-    one block before the next: a block gathers the 48-digit windows of d at
-    its ia and at its ib (one row copy per position), takes their
-    difference once, and step i adds row i of its transpose.  ia and ib are
-    not changed.
+    inside d; ia and ib are not changed.  One call scans one block: it
+    gathers the 48-digit windows of d at ia and at ib, takes their
+    difference once, and step i adds row i of its transpose.  A sum past
+    the float range (beta above ~2^21.3) is inf, with no warning.
     """
     s = np.zeros(ia.shape[0], dtype=np.float64)
     if not ia.shape[0]:
         return s  # d may be shorter than one window
     windows = sliding_window_view(d, _SCAN_STEPS)
-    for lo in range(0, ia.shape[0], _SCAN_CHUNK):
-        part = slice(lo, lo + _SCAN_CHUNK)
-        sc = s[part]
-        # row i holds c_i of every position in the block
-        diffs = (windows[ia[part]] - windows[ib[part]]).T.copy()
-        for c in diffs:
-            sc *= beta_f
-            sc += c
+    # row i holds c_i of every position
+    with np.errstate(over="ignore"):
+        for c in (windows[ia] - windows[ib]).T.copy():
+            s *= beta_f
+            s += c
     return s
 
 
@@ -580,8 +587,7 @@ def _dot_scan(ctx: BetaContext, d: np.ndarray, ia: np.ndarray,
     P, D = weights
     s, err = np.empty(ia.shape[0]), np.empty(ia.shape[0])
     windows = sliding_window_view(d, _SCAN_STEPS)
-    for lo in range(0, ia.shape[0], _SCAN_CHUNK):
-        part = slice(lo, lo + _SCAN_CHUNK)
+    for part, _ in _blocks(0, ia.shape[0]):
         c = np.subtract(windows[ia[part]], windows[ib[part]], dtype=np.float64)
         np.matmul(c, P, out=s[part])
         np.matmul(np.abs(c, out=c), D, out=err[part])
@@ -793,13 +799,13 @@ def _lambda_series(view: OrbitView, n_max: int) -> tuple[np.ndarray, int]:
     A fixed number of float recurrence steps settles the vast majority of
     positions at once; those whose sum does not clear the margin (deep
     cancellation) or whose window runs off the stream take the exact
-    per-position routine.  Returns the series as a read-only array, kept on
+    per-position routine.  Every pass runs one block of ``_SCAN_CHUNK``
+    positions at a time.  Returns the series as a read-only array, kept on
     the view, and the number of censored positions.
     """
     cache = getattr(view, "_lambda_cache", None)
     if cache is not None and cache[0] == n_max:
         return cache[1], cache[2]
-    n_arr = np.arange(1, n_max + 1)
     depth = view.ensure(n_max + 256)
     if depth <= n_max:
         raise StreamTooShortError(f"digit stream of depth {depth} is too short "
@@ -807,27 +813,28 @@ def _lambda_series(view: OrbitView, n_max: int) -> tuple[np.ndarray, int]:
     # ask for every position's whole match plus the scan window, until the
     # view holds them, reaches the cap or stops growing
     while True:
-        j_arr = view.z_values()[1 : n_max + 1]
-        need = int((n_arr + j_arr).max()) + 1 + _SCAN_STEPS
+        z = view.z_values()[1:]
+        need = 1 + _SCAN_STEPS + max(int((n + z[part]).max()) for part, n in _blocks(0, n_max))
         if need <= depth or depth >= _SCAN_CAP or view.ensure(need) == depth:
             break
         depth = view.depth
     beta_f = view.ctx.beta_float()
     tail = max(view.ctx.alphabet_max, 1) / (beta_f - 1.0)
-    # scan the windows inside the stream; an overflowed s (beta > ~2^21) goes exact
-    sel = np.flatnonzero(n_arr + j_arr + _SCAN_STEPS <= depth)
-    j = j_arr[sel]
-    abs_s = np.abs(_difference_scan(view._digit_array(), beta_f, n_arr[sel] + j, j))
-    keep = (abs_s > _FLOAT_MARGIN * tail) & np.isfinite(abs_s)
     lam = np.full(n_max, np.nan)
-    lam[sel[keep]] = j[keep] + _SCAN_STEPS - np.log(abs_s[keep]) / math.log(beta_f)
+    for part, n in _blocks(0, n_max):
+        # scan the windows inside the stream; an overflowed s (beta > ~2^21) goes exact
+        sel = np.flatnonzero(n + z[part] + _SCAN_STEPS <= depth)
+        j = z[part][sel]
+        abs_s = np.abs(_difference_scan(view._digit_array(), beta_f, n[sel] + j, j))
+        keep = (abs_s > _FLOAT_MARGIN * tail) & np.isfinite(abs_s)
+        lam[part][sel[keep]] = j[keep] + _SCAN_STEPS - np.log(abs_s[keep]) / math.log(beta_f)
     censored = 0
-    for idx in np.flatnonzero(np.isnan(lam)):
-        lb = neg_log_distance(view, int(idx) + 1)
-        if lb.censored:
-            censored += 1
-        else:
-            lam[idx] = (lb.lo + lb.hi) / 2.0
+    for part, n in _blocks(0, n_max):
+        for pos in n[np.isnan(lam[part])].tolist():
+            lb = neg_log_distance(view, pos)
+            if not lb.censored:
+                lam[pos - 1] = (lb.lo + lb.hi) / 2.0
+            censored += lb.censored
     lam.flags.writeable = False
     view._lambda_cache = (n_max, lam, censored)
     return lam, censored
@@ -853,13 +860,13 @@ def _check_periodic(view: OrbitView, n_max: int) -> bool:
 
 
 def _estimate(view: OrbitView, n_max: int,
-              reduce: Callable[[np.ndarray, np.ndarray], float]) -> ExponentEstimate:
+              reduce: Callable[..., float]) -> ExponentEstimate:
     """The steps both exponent estimates share, around their own reduction.
 
-    After the n_max check and the periodicity sentinel, ``reduce(lam, ns)``
-    gets the whole series, with censored and non-positive entries read as
-    +0.0, and the return times ns of the tail window [n_max/2, n_max];
-    ``lam[ns[0] - 1:]`` is the series over that window.
+    After the n_max check and the periodicity sentinel, ``reduce(blocks,
+    lo)`` gets the start lo of the tail window [n_max/2, n_max] and
+    ``blocks(a, b)``, which yields the series over n in [a, b), censored and
+    non-positive entries read as +0.0, as (lam_n, n) blocks of ``_SCAN_CHUNK``.
     """
     if n_max < 10:
         raise ValueError("n_max too small")
@@ -867,8 +874,10 @@ def _estimate(view: OrbitView, n_max: int,
     if _check_periodic(view, n_max):
         return ExponentEstimate(math.inf, n_max, window)
     lam, censored = _lambda_series(view, n_max)
-    positive = np.where(lam > 0, lam, 0.0)  # censored (nan) entries fail the test
-    value = float(reduce(positive, np.arange(window[0], n_max + 1)))
+    def blocks(a: int, b: int):
+        for part, n in _blocks(a - 1, b - 1):
+            yield np.where(lam[part] > 0, lam[part], 0.0), n  # censored (nan) fails > 0
+    value = float(reduce(blocks, window[0]))
     return ExponentEstimate(value, n_max, window, lam, censored)
 
 
@@ -878,7 +887,8 @@ def estimate_r(view: OrbitView, n_max: int) -> ExponentEstimate:
     Proxy for the limsup of -log_beta |T^n x - x| / n: the maximum over the
     tail window [n_max/2, n_max], which discards small-n transients.
     """
-    return _estimate(view, n_max, lambda lam, ns: (lam[ns[0] - 1:] / ns).max())
+    return _estimate(view, n_max, lambda blocks, lo: max(
+        (lam / n).max() for lam, n in blocks(lo, n_max + 1)))
 
 
 def estimate_r_hat(view: OrbitView, n_max: int) -> ExponentEstimate:
@@ -887,5 +897,10 @@ def estimate_r_hat(view: OrbitView, n_max: int) -> ExponentEstimate:
     Proxy for the liminf over N of max_(n<=N) -log_beta |T^n x - x| / N,
     taking the min over the tail window [n_max/2, n_max].
     """
-    return _estimate(view, n_max, lambda lam, ns: (
-        np.maximum.accumulate(lam)[ns[0] - 1:] / ns).min())
+    def reduce(blocks, lo: int) -> float:
+        top, value = max(lam.max() for lam, _ in blocks(1, lo)), math.inf
+        for lam, n in blocks(lo, n_max + 1):
+            run = np.maximum(np.maximum.accumulate(lam), top)
+            top, value = run[-1], min(value, (run / n).min())
+        return value
+    return _estimate(view, n_max, reduce)

@@ -141,8 +141,9 @@ def oracle_lambda_series(view, n_max, scan_steps=48):
     amax = max(view.ctx.alphabet_max, 1)
     tail = amax / (beta_f - 1.0)
     bad = n_arr + j_arr + scan_steps > depth
-    s, max_abs, _ = oracle_difference_scan(d, beta_f, n_arr + j_arr, j_arr,
-                                           scan_steps=scan_steps)
+    with np.errstate(over="ignore"):  # past beta = 2^21.3 a sum may overflow to inf
+        s, max_abs, _ = oracle_difference_scan(d, beta_f, n_arr + j_arr, j_arr,
+                                               scan_steps=scan_steps)
     abs_s = np.abs(s)
     ok = (~bad) & (abs_s > (1 << 20) * tail) & (max_abs < (1 << 20) * abs_s)
     lam = np.full(n_max, np.nan)
@@ -615,9 +616,44 @@ class TestEstimates:
         ctx = BetaContext.from_value(1 << 22)
         digits = OrbitView.from_point(ctx, Fraction(123456789123456789,
                                                     987654321987654323)).digits(600)
-        with np.errstate(over="ignore"):
-            r, _ = assert_estimates_agree(lambda: OrbitView.from_digits(ctx, digits), 300)
+        r, _ = assert_estimates_agree(lambda: OrbitView.from_digits(ctx, digits), 300)
         assert all(math.isfinite(v) for v in r.neg_log)
+
+    @pytest.mark.parametrize("chunk", [7, 1000])
+    def test_blocks_do_not_change_the_estimates(self, chunk, monkeypatch):
+        # the series' passes, both reductions and the periodicity scan run in
+        # blocks; other sizes move the block edges: into the tail window, past
+        # a period's first hit and among windows that run off the stream, with
+        # n_max no multiple of the block
+        rng = random.Random(26)
+        cases = []
+        for value in ("2", "2.5", "golden", "7/5", "x^3-x-1"):
+            ctx = (BetaContext.golden() if value == "golden"
+                   else BetaContext.from_root(CUBIC, 1, 2) if value == "x^3-x-1"
+                   else BetaContext.from_value(value))
+            x = Fraction(rng.getrandbits(60), (1 << 61) - 1)
+            n_max = 1203 if ctx.beta_fraction is not None else 403
+            digits = OrbitView.from_point(ctx, x).digits(n_max + 300)
+            cases.append((lambda ctx=ctx, x=x: OrbitView.from_point(ctx, x), n_max))
+            for extra in (5, 47, 300):  # windows near n_max run off the stream
+                cases.append((lambda ctx=ctx, d=digits[:n_max + extra]:
+                              OrbitView.from_digits(ctx, d), n_max))
+        base25 = BetaContext.from_value("2.5")
+        block = random_digits(rng, 2, 1500)
+        for tail in ([], [(block[100] + 1) % 3]):  # period 1500, then a stream without one
+            digits = block * 3 + block[:100] + tail
+            cases.append((lambda d=digits: OrbitView.from_digits(base25, d), 1203))
+
+        def run(make_view, n_max):
+            view, est = make_view(), make_view()
+            lam, censored = recurrence._lambda_series(view, n_max)
+            r, rh = estimate_r(est, n_max), estimate_r_hat(est, n_max)
+            return (lam.tobytes(), censored, repr(r.value), repr(rh.value), r.censored,
+                    digit_period(view), digit_period(est), view.depth, est.depth)
+        want = [run(*case) for case in cases]
+        assert [w[5] for w in want[-2:]] == [1500, None]
+        monkeypatch.setattr(recurrence, "_SCAN_CHUNK", chunk)
+        assert [run(*case) for case in cases] == want
 
     def test_stream_too_short_for_n_max(self, two):
         digits = [1, 0, 0, 1, 1, 0, 1, 0, 0, 0]
@@ -641,8 +677,9 @@ class TestDifferenceScan:
         return a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_blocks_match_the_whole_array_loop(self):
-        # unpadded digits as _lambda_series reads them: every window lies in
-        # the stream, some end on its last digit, and some match runs are long
+        # unpadded digits and one kernel call per block, as _lambda_series
+        # makes them: every window lies in the stream, some end on its last
+        # digit, and some match runs are long
         chunk = recurrence._SCAN_CHUNK
         rng = np.random.default_rng(131)
         for value in ("2.5", "7/5"):
@@ -655,7 +692,9 @@ class TestDifferenceScan:
                 j[::97] = rng.integers(0, n + 1, j[::97].shape[0])
                 ia = np.minimum(np.arange(1, n + 1) + j, depth - 48)
                 ia[-1:] = depth - 48
-                ours = recurrence._difference_scan(d, beta_f, ia, j)
+                ours = np.concatenate([np.zeros(0)] + [
+                    recurrence._difference_scan(d, beta_f, ia[part], j[part])
+                    for part, _ in recurrence._blocks(0, n)])
                 s, _, _ = oracle_difference_scan(d, beta_f, ia, j)
                 assert self.same_bits(ours, s), (value, n)
                 assert ours.shape == (n,)

@@ -213,6 +213,14 @@ class TestCliContract:
         jsonschema.validate(payload, schema)
         assert captured.err == ""
 
+    def test_exponents_past_the_float_range_write_no_warning(self, capsys, schema, recwarn):
+        # on beta = 2^22 some 48-step float sums overflow, and go exact
+        code = main(["exponents", "--beta", "4194304", "--x", "0.7137", "--N", "200"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        validate_result(schema, "exponents", json.loads(captured.out))
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_typed_errors_are_not_internal(self, capsys, schema, monkeypatch):
         cases = [(("approx-beta", "--beta", "2", "--N", "1"), "ValueError"),
                  (("enumerate", "--beta", "golden", "--n", "6", "--limit", "3"),

@@ -1,7 +1,9 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from betarec import recurrence
@@ -235,6 +237,23 @@ class TestEstimates:
             if estimate_r_hat(v, 500).value <= 0.08:
                 small += 1
         assert small >= 10
+
+    def test_estimates_hold_the_series_and_one_block(self, base25):
+        # tracemalloc traces numpy's buffers; beside the stream and its
+        # Z-array, built first, the estimates hold the series (8 bytes a
+        # position) and one block of working arrays
+        n_max = 1 << 19
+        digits = np.random.default_rng(5).integers(0, 3, n_max + 1024).tolist()
+        v = OrbitView.from_digits(base25, digits)
+        v.z_values()
+        tracemalloc.start()
+        try:
+            r, rh = estimate_r(v, n_max), estimate_r_hat(v, n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.lam.nbytes == 8 * n_max and math.isfinite(rh.value)
+        assert peak < r.lam.nbytes + (4 << 20)
 
 
 def test_estimates_on_short_fixed_stream(two):
