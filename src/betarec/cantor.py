@@ -118,8 +118,9 @@ class BlockPool:
 
     The pool's language is the product of the two follower automata.  One
     forward pass over the product states reachable in fewer than M digits
-    records each state's successors, indexed by digit and read from the
-    transition rows of the two automata (None where either rejects).  Everything else walks
+    records each state's successors by digit, up to e, the smaller of the
+    two reference digits: (0, 0) below e, and at e each automaton's next
+    state, or 0 where its own digit exceeds e.  Everything else walks
     those lists: the backward completion counts ``_g`` (acceptance at depth
     M is parent state 0, fullness in the parent), membership and prefix
     counts, the sampling rows, and enumeration.
@@ -136,24 +137,25 @@ class BlockPool:
         self.parent = parent
         ca = automaton_for(child, M + 1)
         pa = automaton_for(parent, M + 1)
-        self._succ: dict[tuple[int, int], list[Optional[tuple[int, int]]]] = {}
+        self._succ: dict[tuple[int, int], list[tuple[int, int]]] = {}
         layers = [{(0, 0)}]
         for _ in range(M):
             nxt = set()
             for s in layers[-1]:
                 succ = self._succ.get(s)
                 if succ is None:
-                    succ = [None if a is None or b is None else (a, b)
-                            for a, b in zip(ca.row(s[0]), pa.row(s[1]))]
+                    e_c, e_p = ca.pattern[s[0]], pa.pattern[s[1]]
+                    e = min(e_c, e_p)
+                    succ = [(0, 0)] * e + [(ca.next_state(s[0]) if e_c == e else 0,
+                                            pa.next_state(s[1]) if e_p == e else 0)]
                     self._succ[s] = succ
-                nxt.update(t for t in succ if t is not None)
+                nxt.update(succ)
             layers.append(nxt)
         self._g: list[dict[tuple[int, int], int]] = [{} for _ in range(M + 1)]
         self._g[M] = {s: 1 if s[1] == 0 else 0 for s in layers[M]}
         for t in range(M - 1, -1, -1):
             below = self._g[t + 1]
-            self._g[t] = {s: sum(below[u] for u in self._succ[s] if u is not None)
-                          for s in layers[t]}
+            self._g[t] = {s: sum(below[u] for u in self._succ[s]) for s in layers[t]}
         self.exclude = tuple(w for w in exclude if self._raw_contains(w))
         self._excluded = frozenset(self.exclude)
         self.size = self._g[0][(0, 0)] - len(self.exclude)
@@ -172,8 +174,6 @@ class BlockPool:
             if not 0 <= c < len(succ):
                 return None
             state = succ[c]
-            if state is None:
-                return None
         return state
 
     def _raw_contains(self, w: Word) -> bool:
@@ -231,7 +231,7 @@ class BlockPool:
         for t in range(self.M - 1, -1, -1):
             below = self._g[t + 1]
             steps = {s: [(c, s2, below[s2]) for c, s2 in enumerate(self._succ[s])
-                         if s2 is not None and below[s2]]
+                         if below[s2]]
                      for s, count in self._g[t].items() if count}
             new_rows = {s: _sampling_row([((c, rows.get(s2)), w) for c, s2, w in st])
                         for s, st in steps.items()}
@@ -270,7 +270,7 @@ class BlockPool:
             succ = self._succ[state]
             for c in range(len(succ) - 1, -1, -1):
                 s2 = succ[c]
-                if s2 is not None and below[s2] > 0:
+                if below[s2] > 0:
                     stack.append((s2, prefix + (c,)))
 
 

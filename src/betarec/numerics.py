@@ -23,7 +23,10 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)  # accepts "3/2" and exact decimal strings
+        try:
+            return Fraction(x)  # accepts "3/2" and exact decimal strings
+        except ZeroDivisionError:
+            raise ValueError(f"{x!r} has a zero denominator") from None
     if isinstance(x, float):
         # floats are binary-exact; callers wanting decimal intent should pass str
         return Fraction(x)

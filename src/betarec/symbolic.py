@@ -7,7 +7,8 @@ the longest suffix of the word read so far that is a prefix of the expansion
 of 1; a digit exceeding the next reference digit rejects, matching it
 advances, and a smaller digit returns to state 0: by Parry's condition no
 shorter match survives it, so no KMP failure links are needed.  The
-reference digits are thus the automaton's whole transition table.
+reference digits are thus the automaton's whole transition table: every
+reader of the language steps on the pair (e_s, next state), in O(1).
 
 For a simple Parry base the reference sequence is purely periodic, states are
 taken mod the period, and the automaton is finite and exact at all depths.
@@ -66,7 +67,9 @@ class FollowerAutomaton:
     beta-shift).  Row s of the transition table is therefore fixed by e_s
     alone: 0 below e_s, s + 1 at e_s, rejection above.  The reference
     digits are the table, read once per step, and no failure links are
-    kept.
+    kept: readers step on (e_s, ``next_state(s)``) whatever the alphabet.
+    ``expansion._FloatRun._build_word_table``, which cannot import this
+    module, is the one other place that states the rule.
 
     A simple Parry base with primitive period m has states 0..m-1, with
     s + 1 taken mod m, and the automaton is exact at all depths.  Otherwise
@@ -102,15 +105,11 @@ class FollowerAutomaton:
         e = self.pattern[state]
         if c != e:
             return 0 if c < e else None
+        return self.next_state(state)
+
+    def next_state(self, state: int) -> int:
+        """The state after reading e_state from state."""
         return state + 1 if self.period is None else (state + 1) % self.period
-
-    def row(self, state: int) -> list[Optional[int]]:
-        """The next state for each digit 0..amax from state, None to reject."""
-        return [self.step(state, c) for c in range(self.ctx.alphabet_max + 1)]
-
-    def transition_table(self) -> list[list[Optional[int]]]:
-        """Dense (state, digit) table; None entries are rejections."""
-        return [self.row(s) for s in range(self.num_states)]
 
     def feed(self, word: Word, state: int = 0) -> Optional[int]:
         for c in word:
@@ -131,12 +130,6 @@ def automaton_for(ctx: BetaContext, depth: int) -> FollowerAutomaton:
     auto = FollowerAutomaton(ctx, max(depth, _AUTOMATON_DEPTH))
     ctx._follower_cache = auto
     return auto
-
-
-def _reachable_rows(ctx: BetaContext, n: int) -> list[list[Optional[int]]]:
-    """The transition rows of every state a word of length n can reach."""
-    auto = automaton_for(ctx, n)
-    return [auto.row(s) for s in range(min(auto.num_states, n + 1))]
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +156,16 @@ def count_admissible(ctx: BetaContext, n: int) -> int:
 
 def state_counts(ctx: BetaContext, n: int) -> dict[int, int]:
     """Exact count of admissible length-n words by final automaton state."""
-    table = _reachable_rows(ctx, n)
+    auto = automaton_for(ctx, n)
     counts = {0: 1}
     for _ in range(n):
         nxt: dict[int, int] = {}
         for s, c in counts.items():
-            for t in table[s]:
-                if t is not None:
-                    nxt[t] = nxt.get(t, 0) + c
+            e = auto.pattern[s]
+            if e:
+                nxt[0] = nxt.get(0, 0) + c * e
+            t = auto.next_state(s)
+            nxt[t] = nxt.get(t, 0) + c
         counts = nxt
     return counts
 
@@ -182,21 +177,19 @@ def enumerate_admissible(ctx: BetaContext, n: int) -> Iterator[Word]:
     if n == 0:
         yield ()
         return
-    table = _reachable_rows(ctx, n)
+    auto = automaton_for(ctx, n)
     digits = [0] * n
     states = [0] * (n + 1)
     k = 0
     digits[0] = -1
     while k >= 0:
         digits[k] += 1
-        if digits[k] > ctx.alphabet_max:
+        s, d = states[k], digits[k]
+        e = auto.pattern[s]
+        if d > e:
             k -= 1
             continue
-        t = table[states[k]][digits[k]]
-        if t is None:
-            k -= 1
-            continue
-        states[k + 1] = t
+        states[k + 1] = 0 if d < e else auto.next_state(s)
         if k == n - 1:
             yield tuple(digits)
         else:
@@ -297,46 +290,34 @@ def cylinder(w: Word, ctx: BetaContext, refine: int = 24) -> Cylinder:
 def max_nonfull_run(ctx: BetaContext, n: int) -> tuple[int, int]:
     """(longest run of consecutive non-full order-n cylinders, total count).
 
-    Computed by dynamic programming over (state, remaining depth) run
-    summaries instead of enumerating words, so large n stay cheap.
+    Computed by a loop over depth instead of enumerating words, on one run
+    summary (count, prefix run, longest run, suffix run, all non-full) per
+    state.  Depth d from state s is e_s copies of state 0's summary at
+    d - 1, then next_state(s)'s.  State 0's first cylinder, its all-zero
+    word, is full, so a seam between two copies makes no run longer than
+    the copies' seam with next_state(s).  Depth d needs the states below
+    n - d + 1, so the scan costs O(n * states).
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    table = _reachable_rows(ctx, n)
-    # summary: (count, prefix_run, max_run, suffix_run, all_nonfull)
-    memo: dict[tuple[int, int], tuple[int, int, int, int, bool]] = {}
-
-    def combine(a, b):
-        ca, pa, ma, sa, aa = a
-        cb, pb, mb, sb, ab = b
-        count = ca + cb
-        if aa and ab:
-            return (count, count, count, count, True)
-        pre = ca + pb if aa else pa
-        suf = cb + sa if ab else sb
-        mid = max(ma, mb, sa + pb)
-        return (count, pre, mid, suf, False)
-
-    def summary(state, depth):
-        if depth == 0:
-            if state == 0:
-                return (1, 0, 0, 0, False)
-            return (1, 1, 1, 1, True)
-        key = (state, depth)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        acc = None
-        for t in table[state]:
-            if t is None:
-                continue
-            s = summary(t, depth - 1)
-            acc = s if acc is None else combine(acc, s)
-        memo[key] = acc
-        return acc
-
-    count, pre, mid, suf, allnf = summary(0, n)
-    return (count if allnf else max(pre, mid, suf), count)
+    auto = automaton_for(ctx, n)
+    width = min(auto.num_states, n + 1)
+    # depth 0: one cylinder per state, full at state 0 alone
+    level = [(1, 0, 0, 0, False)] + [(1, 1, 1, 1, True)] * (width - 1)
+    for depth in range(1, n + 1):
+        count, pre, mid, suf, _ = level[0]
+        nxt = []
+        for state in range(min(width, n - depth + 1)):
+            e = auto.pattern[state]
+            last = level[auto.next_state(state)]
+            if e:
+                c, p, m, s, whole = last
+                last = (e * count + c, pre, max(mid, m, suf + p),
+                        c + suf if whole else s, False)
+            nxt.append(last)
+        level = nxt
+    count, pre, mid, suf, _ = level[0]
+    return (max(pre, mid, suf), count)
 
 
 def full_window_check(ctx: BetaContext, n: int) -> bool:

@@ -139,10 +139,10 @@ def _grid_digits(name: str, ctx: BetaContext, G: int, n: int) -> np.ndarray:
 
 def _automaton_table_np(ctx: BetaContext, depth: int) -> np.ndarray:
     auto = automaton_for(ctx, depth)
-    table = auto.transition_table()
-    arr = np.full((len(table) + 1, ctx.alphabet_max + 1), -1, dtype=np.int64)
-    for s, row in enumerate(table):
-        for c, t in enumerate(row):
+    arr = np.full((auto.num_states + 1, ctx.alphabet_max + 1), -1, dtype=np.int64)
+    for s in range(auto.num_states):
+        for c in range(ctx.alphabet_max + 1):
+            t = auto.step(s, c)
             if t is not None:
                 arr[s, c] = t
     return arr

@@ -2,11 +2,13 @@ import hashlib
 import io
 import json
 import shlex
+import warnings
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from betarec import symbolic as sym_mod
 from betarec.cantor import build_plan, sample_point
@@ -17,7 +19,15 @@ from betarec.expansion import BetaContext, word_text
 @pytest.fixture(scope="module")
 def schema():
     text = resources.files("betarec").joinpath("schemas/cli.json").read_text()
-    return json.loads(text)
+    schema = json.loads(text)
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+    return schema
+
+
+def conforms(payload, schema):
+    """``jsonschema.validate`` less its meta-schema check (about 30 ms),
+    which the schema fixture makes once."""
+    jsonschema.validators.validator_for(schema)(schema).validate(payload)
 
 
 def run(capsys, *argv):
@@ -32,11 +42,59 @@ def run_json(capsys, *argv):
 
 
 def validate_result(schema, command, payload):
-    jsonschema.validate(payload, schema)
+    conforms(payload, schema)
     key = {"eps-star": "eps_star", "approx-beta": "approx_beta",
            "full-scan": "full_scan"}.get(command, command)
     sub = {"$defs": schema["$defs"], **schema["$defs"][f"result_{key}"]}
-    jsonschema.validate(payload["result"], sub)
+    conforms(payload["result"], sub)
+
+
+# the contract sweep's values: (typical, edge) for each kind of argument
+BETAS = (("2", "golden", "2.5", "7/5", "1000.5", "4194304"), ("1", "1/2", "-2", "1/0", "x"))
+REALS = (("0", "0.7137", "1/3"), ("1", "-1/2", "1/0", "inf", "nan", "x"))
+EXPONENTS = (("0.2", "1/3", "1/2", "1", "2", "inf"), ("0", "-1", "1/0", "x"))
+SIZES = (("1", "2", "5", "12"), ("-2", "0", "40"))
+# a plan's level counts are pool_size ** t_k with t_k growing fivefold per
+# level, so a large --K makes `cantor counts` too big to finish
+LEVELS = (("1", "2", "4"), ("-2", "0"))
+WORDS = (("0", "1,1", "2,0,1"), ("", "-1", "1,x"))
+OPTIONS = {"expand": ("--x", "--n"), "eps-star": ("--n",), "approx-beta": ("--N",),
+           "admissible": (), "count": ("--n",), "enumerate": ("--n", "--limit"),
+           "full-scan": ("--n",), "exponents": ("--x", "--N"),
+           "returns": ("--x", "--K", "--depth"),
+           "cantor": ("--rhat", "--r", "--delta", "--K", "--k", "--depth", "--prefix"),
+           "dim": ("--rhat", "--r", "--delta", "--K", "--k", "--points", "--depth",
+                   "--n-lo", "--n-hi")}
+
+
+@st.composite
+def cli_arguments(draw):
+    """An argument vector for any command: each argument is left out one
+    time in ten (so some required ones are missing), and is otherwise a
+    typical value or, one time in four, an edge value.  The choices come
+    from one seeded generator, which spreads a hundred examples over the
+    commands far more evenly than shrinkable draws do."""
+    rng = draw(st.randoms(use_true_random=True))
+    command = rng.choice(sorted(OPTIONS))
+    argv = [command]
+    if command == "cantor":
+        argv.append(rng.choice(("plan", "sample", "counts", "measure", "x")))
+    elif command == "dim":
+        argv.append(rng.choice(("formula", "series", "boxcount", "x")))
+    values = {"--beta": BETAS, "--x": REALS, "--delta": REALS, "--rhat": EXPONENTS,
+              "--r": EXPONENTS, "--prefix": WORDS}
+    if command in ("cantor", "dim"):
+        # β = 2^22 is left out here alone: its block pool's sampling rows
+        # hold 2^22 entries, about 25 s and 1.9 GB for one plan
+        values["--beta"] = (BETAS[0][:-1], BETAS[1])
+        values["--K"] = LEVELS
+    for option in ("--beta",) + OPTIONS[command]:
+        if rng.random() < 0.9:
+            typical, edge = values.get(option, SIZES)
+            argv += [option, rng.choice(edge if rng.random() < 0.25 else typical)]
+    if command == "admissible":
+        argv.append(rng.choice(WORDS[0] + WORDS[1]))
+    return argv
 
 
 class TestCommands:
@@ -220,6 +278,46 @@ class TestCliContract:
         assert code == 0 and captured.err == ""
         validate_result(schema, "exponents", json.loads(captured.out))
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_zero_denominators_are_value_errors(self, capsys, schema):
+        cases = [("expand", "--beta", "2.5", "--x", "1/0", "--n", "3"),
+                 ("expand", "--beta", "1/0", "--x", "0.5", "--n", "3"),
+                 ("exponents", "--beta", "2.5", "--x", "1/0", "--N", "40"),
+                 ("cantor", "plan", "--beta", "2.5", "--rhat", "0.2", "--r", "1",
+                  "--delta", "1/0"),
+                 ("dim", "formula", "--rhat", "1/0", "--r", "1")]
+        for argv in cases:
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            assert code == 1, argv
+            payload = json.loads(captured.out)
+            assert payload == {"command": argv[0], "error": "ValueError",
+                               "message": "'1/0' has a zero denominator"}
+            jsonschema.validate(payload, schema)
+            assert captured.err == ""
+
+    # capsys is read out after every example, so sharing it is safe
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cli_arguments())
+    def test_generated_arguments_keep_the_contract(self, capsys, schema, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        captured = capsys.readouterr()
+        assert not caught, (argv, [str(w.message) for w in caught])
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            return
+        assert captured.err == "", argv
+        payload = json.loads(captured.out)
+        if code == 0:
+            validate_result(schema, argv[0], payload)
+        else:
+            conforms(payload, schema)
+            assert "internal" not in payload, (argv, payload)
 
     def test_typed_errors_are_not_internal(self, capsys, schema, monkeypatch):
         cases = [(("approx-beta", "--beta", "2", "--N", "1"), "ValueError"),

@@ -228,8 +228,10 @@ class TestWindows:
             assert full_window_check(base25, n)
 
     def test_run_matches_enumeration(self, base25, phi):
-        for ctx in (phi, base25, BetaContext.from_value("3.7")):
-            for n in (2, 4, 6):
+        cases = [(ctx, (2, 4, 6)) for ctx in (phi, base25, BetaContext.from_value("3.7"))]
+        cases.append((BetaContext.from_value("1000.5"), (1, 2)))
+        for ctx, ns in cases:
+            for n in ns:
                 flags = [is_full(w, ctx) for w in enumerate_admissible(ctx, n)]
                 best = cur = 0
                 for f in flags:
@@ -238,6 +240,19 @@ class TestWindows:
                 run, count = max_nonfull_run(ctx, n)
                 assert count == len(flags)
                 assert run == best
+
+    def test_deep_scan_needs_no_recursion(self, base25):
+        run, count = max_nonfull_run(base25, 1500)
+        assert run == 3
+        assert count == count_admissible(base25, 1500)
+
+    def test_a_large_alphabet_costs_nothing_per_digit(self):
+        # beta = 2^22: every word over the 2^22 digits is admissible and full
+        ctx = BetaContext.from_value(2**22)
+        for n in (1, 12):
+            assert count_admissible(ctx, n) == 2 ** (22 * n)
+        assert max_nonfull_run(ctx, 5) == (0, 2 ** 110)
+        assert next(enumerate_admissible(ctx, 1)) == (0,)
 
 
 class TestNestedBases:
