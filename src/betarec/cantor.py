@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
@@ -35,9 +36,11 @@ from itertools import accumulate
 from operator import mul
 from typing import Callable, Iterator, Optional
 
+import numpy as np
+
 from .expansion import BetaContext, Word, _sign_minus_power, approximate_beta
 from .numerics import _as_fraction
-from .recurrence import OrbitView
+from .recurrence import OrbitView, _digit_dtype
 from .symbolic import automaton_for, count_admissible
 
 
@@ -242,19 +245,20 @@ class BlockPool:
             rows = new_rows
         self._root = prefix_rows.get((), rows.get((0, 0)))
 
-    def sample(self, rng: random.Random, b: int = 1) -> Word:
-        """b blocks drawn one after another from rng, as one word of b M digits."""
+    def sample(self, rng: random.Random, b: int = 1, out=None) -> Optional[Word]:
+        """b blocks drawn one after another from rng, as one word of b M digits;
+        with out (a list, ``bytearray`` or ``array``), appended to out instead."""
         if self.size <= 0:
             raise ConstructionError("construction infeasible at this (N, M)")
         if self._root is None:
             self._build_table()
         getrandbits, root, M = rng.getrandbits, self._root, self.M
-        digits: list[int] = []
+        digits = [] if out is None else out
         append = digits.append
         for _ in range(b):
             while _draw_block(root, getrandbits, append) is not None:
                 del digits[-M:]  # an excluded block: draw it again
-        return tuple(digits)
+        return tuple(digits) if out is None else None
 
     def enumerate(self, budget: int = 200_000) -> Iterator[Word]:
         if self._g[0][(0, 0)] > budget:
@@ -587,18 +591,24 @@ def _seed_block(universe: BlockPool, rng: random.Random) -> Word:
             return u
 
 
-def _grow(plan: CantorPlan, word: Word, length: int,
-          blocks: Optional[Callable[[int], Word]]) -> Word:
+def _buffer(ctx: BetaContext, word: Word):
+    """word as a growable buffer in the digit width of ``OrbitView``: a
+    ``bytearray`` when the digits fit int8, else an ``array("q")``."""
+    return bytearray(word) if _digit_dtype(ctx) is np.int8 else array("q", word)
+
+
+def _grow(plan: CantorPlan, word, length: int, blocks: Optional[Callable]):
     """The branch prefix word, ending where a segment does, grown to length.
 
-    Copy and zero runs are written up to length; a run of gap-block slots
-    is filled by one ``blocks(b)`` call, b the least number of its blocks
-    that gets there, so the result may run up to M - 1 digits past length.
-    Zeros and blocks gather in a tail that joins the word before a copy run
-    reads it, so a level costs about three copies of the word.
+    word is a ``_buffer``, left unchanged.  Copy and zero runs are written
+    up to length; a run of gap-block slots is filled by one ``blocks(b,
+    out=tail)`` call, b the least number of its blocks that gets there, so
+    the result may run up to M - 1 digits past length.  Zeros and blocks
+    gather in a tail that joins the word before a copy run reads it, so a
+    level costs about three copies of the word.
     """
     start = len(word)
-    tail: Word = ()
+    tail = word[:0]
     for end, kind, shift in plan.layout:
         if start >= length:
             break
@@ -607,25 +617,25 @@ def _grow(plan: CantorPlan, word: Word, length: int,
         stop = min(end, length)
         if kind is _COPY:
             # a copy run starts at its shift: the word so far, repeated
-            word += tail
-            tail = ()
+            word = word + tail
+            tail = word[:0]
             reps, rest = divmod(stop, shift)
             word = word * reps + word[:rest]
         elif kind is _ZERO:
-            tail += (0,) * (stop - start)
+            tail.extend((0,) * (stop - start))
         else:
-            tail += blocks(-(-(stop - start) // plan.M))
+            blocks(-(-(stop - start) // plan.M), out=tail)
         start = len(word) + len(tail)
     return word + tail
 
 
-def _sampled_prefix(plan: CantorPlan, seed: int, length: int) -> Word:
-    """The branch drawn from ``random.Random(seed)``, grown to length: the
-    seed block, then its pool's gap blocks up to the one that reaches length,
-    one ``BlockPool.sample`` call per run of slots."""
+def _sampled_prefix(plan: CantorPlan, seed: int, length: int):
+    """The branch drawn from ``random.Random(seed)``, grown to length as a
+    ``_buffer``: the seed block, then its pool's gap blocks up to the one
+    that reaches length, one ``BlockPool.sample`` call per run of slots."""
     rng = random.Random(seed)
     u = _seed_block(plan.universe(), rng)
-    return _grow(plan, u, length, partial(plan.pool_for(u).sample, rng))
+    return _grow(plan, _buffer(plan.ctx, u), length, partial(plan.pool_for(u).sample, rng))
 
 
 @dataclass
@@ -658,17 +668,16 @@ def build_levels(plan: CantorPlan, k_max: int, mode: str = "counts",
         return [LevelSet(k + 1, counts_d[k], counts_g[k]) for k in range(k_max)]
     if mode == "sample":
         word = _sampled_prefix(plan, seed, plan.m_seq[k_max - 1])
-        return [LevelSet(k, counts_d[k - 1], counts_g[k - 1], [word[: plan.m_seq[k - 1]]])
-                for k in range(1, k_max + 1)]
+        return [LevelSet(k, counts_d[k - 1], counts_g[k - 1], [tuple(word[:m])])
+                for k, m in enumerate(plan.m_seq[:k_max], 1)]
     if mode == "exhaustive":
-        branches: list[tuple[Word, Word]] = [  # (u, word)
-            (u, _grow(plan, u, plan.m_seq[0], None))
-            for u in plan.universe().enumerate(budget) if any(u)]
-        out = [LevelSet(1, counts_d[0], counts_g[0], [w for _, w in branches])]
+        branches = [(u, _grow(plan, _buffer(plan.ctx, u), plan.m_seq[0], None))
+                    for u in plan.universe().enumerate(budget) if any(u)]  # (u, word)
+        out = [LevelSet(1, counts_d[0], counts_g[0], [tuple(w) for _, w in branches])]
         if len(branches) != counts_g[0]:
             raise AssertionError("level-one count mismatch")
         for k in range(2, k_max + 1):
-            nxt: list[tuple[Word, Word]] = []
+            nxt = []
             for u, word in branches:
                 blocks = list(plan.pool_for(u).enumerate(budget))
                 fillers: list[Word] = [()]
@@ -677,10 +686,11 @@ def build_levels(plan: CantorPlan, k_max: int, mode: str = "counts",
                     if len(fillers) * len(branches) > budget:
                         raise ConstructionError("exhaustive level exceeds budget")
                 for f in fillers:
-                    nxt.append((u, _grow(plan, word, plan.m_seq[k - 1], lambda b, f=f: f)))
+                    nxt.append((u, _grow(plan, word, plan.m_seq[k - 1],
+                                         lambda b, out, f=f: out.extend(f))))
             branches = nxt
             out.append(LevelSet(k, counts_d[k - 1], len(branches),
-                                [w for _, w in branches]))
+                                [tuple(w) for _, w in branches]))
         return out
     raise ValueError("mode must be counts, sample, or exhaustive")
 

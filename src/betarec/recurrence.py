@@ -103,12 +103,12 @@ def _settle_window(a: np.ndarray, z: np.ndarray, block: np.ndarray) -> np.ndarra
 def z_array(seq) -> np.ndarray:
     """z[i] = length of the longest common prefix of seq and seq[i:].
 
-    Returns an int64 array.  The first phase settles, with
-    ``_Z_VECTOR_STEPS`` whole-array comparisons, every position whose match
-    is shorter than that.  The other positions are taken in increasing
-    order through the Z-box recursion (Gusfield, *Algorithms on Strings,
-    Trees and Sequences*, 1997, sec. 1.4).  A match of length m at i makes
-    seq[:i + m] i-periodic, so inside that box z[j] follows from
+    Returns int32 when seq is shorter than 2^31, else int64.  The first
+    phase settles, with ``_Z_VECTOR_STEPS`` whole-array comparisons, every
+    position whose match is shorter than that.  The others are taken in
+    increasing order through the Z-box recursion (Gusfield, *Algorithms on
+    Strings, Trees and Sequences*, 1997, sec. 1.4).  A match of length m at
+    i makes seq[:i + m] i-periodic, so inside that box z[j] follows from
     z[j mod i] for all j at once; only the positions whose mirrored match
     reaches the box edge are extended one by one.  So a match that runs to
     the end of the stream settles every later position in one step.
@@ -121,7 +121,7 @@ def z_array(seq) -> np.ndarray:
     """
     a = np.asarray(seq)
     n = a.shape[0]
-    z = np.zeros(n, dtype=np.int64)
+    z = np.zeros(n, dtype=np.int32 if n < 1 << 31 else np.int64)
     if n == 0:
         return z
     z[0] = n
@@ -177,50 +177,45 @@ class OrbitView:
     its left endpoint, i.e. the digits continue with zeros; analyses must
     stay below the supplied depth to say anything about the intended point.
 
-    The available stream is also held as one numpy array (int8 when the
-    alphabet fits), and its Z-array as one int64 array; each is rebuilt only
-    when the stream has grown.
+    The available stream is held once, as one numpy array in ``_digit_dtype``
+    (a byte a digit when the alphabet fits int8) that nothing writes into; a
+    point view grows into a new array, so one handed out earlier stays
+    valid.  The Z-array (int32 below 2^31 digits) is rebuilt on growth only.
     """
 
-    def __init__(self, ctx: BetaContext, digits: list[int],
+    def __init__(self, ctx: BetaContext, arr: np.ndarray,
                  point: Optional[Fraction], stream):
         self.ctx = ctx
-        self._digits = digits
+        self._arr = arr
         self._point = point
         self._stream = stream
-        self._arr: Optional[np.ndarray] = None
         self._z: Optional[np.ndarray] = None
         self._periodic: Optional[tuple[tuple[int, int], bool]] = None
 
     @classmethod
     def from_point(cls, ctx: BetaContext, x) -> "OrbitView":
         x = Fraction(x)
-        return cls(ctx, [], x, orbit_digit_stream(ctx, x))
+        return cls(ctx, np.empty(0, dtype=_digit_dtype(ctx)), x, orbit_digit_stream(ctx, x))
 
     @classmethod
     def from_digits(cls, ctx: BetaContext, digits) -> "OrbitView":
-        digits = list(digits)
-        arr = np.array(digits)
+        arr = np.array(list(digits))
         # floats, strings and integers past 64 bits (dtype object) are rejected
-        if digits and (arr.dtype.kind not in "iu"
-                       or arr.min() < 0 or arr.max() > ctx.alphabet_max):
+        if arr.size and (arr.dtype.kind not in "iu"
+                         or arr.min() < 0 or arr.max() > ctx.alphabet_max):
             raise ValueError("digit out of alphabet")
-        view = cls(ctx, digits, None, None)
-        view._arr = arr.astype(_digit_dtype(ctx), copy=False)
-        return view
+        return cls(ctx, arr.astype(_digit_dtype(ctx), copy=False), None, None)
 
     @classmethod
-    def _from_word(cls, ctx: BetaContext, word: tuple[int, ...]) -> "OrbitView":
-        """A digit view of a word known to lie in the alphabet, unchecked;
-        when the digits fit int8, the array is one ``bytes`` copy of word."""
-        view = cls(ctx, list(word), None, None)
-        if _digit_dtype(ctx) is np.int8:
-            view._arr = np.frombuffer(bytes(word), dtype=np.int8)
-        return view
+    def _from_word(cls, ctx: BetaContext, word) -> "OrbitView":
+        """A digit view of a buffer of digits in ``_digit_dtype(ctx)`` known
+        to lie in the alphabet, unchecked; the array shares word's memory,
+        so word must not grow or change afterwards."""
+        return cls(ctx, np.frombuffer(word, dtype=_digit_dtype(ctx)), None, None)
 
     @property
     def depth(self) -> int:
-        return len(self._digits)
+        return self._arr.shape[0]
 
     def ensure(self, n: int) -> int:
         """Extend the stream to at least n digits where possible; returns depth.
@@ -229,18 +224,21 @@ class OrbitView:
         and 256 digits, but never past ``_SCAN_CAP`` by doubling; a larger n
         is served in full.  Digit views never grow.
         """
-        if self._stream is not None and len(self._digits) < n:
-            target = max(n, min(2 * len(self._digits), _SCAN_CAP), 256)
-            self._stream.extend(self._digits, target - len(self._digits))
-        return len(self._digits)
+        depth = self._arr.shape[0]
+        if self._stream is not None and depth < n:
+            new: list[int] = []
+            self._stream.extend(new, max(n, min(2 * depth, _SCAN_CAP), 256) - depth)
+            self._arr = np.concatenate((self._arr, np.array(new, dtype=self._arr.dtype)))
+        return self._arr.shape[0]
 
     def digits(self, n: int) -> list[int]:
-        self.ensure(n)
-        return self._digits[:n]
+        if self._stream is not None:
+            self.ensure(n)
+        return self._arr[:n].tolist()
 
     def digit(self, i: int) -> int:
         self.ensure(i + 1)
-        return self._digits[i]
+        return int(self._arr[i])
 
     def point_fraction(self) -> Fraction:
         """The exact point, materialising the left endpoint for digit views."""
@@ -248,19 +246,17 @@ class OrbitView:
             beta = self.ctx.beta_fraction
             if beta is None:
                 raise ValueError("exact value unavailable for this view")
-            self._point = word_value_fraction(tuple(self._digits), beta)
+            self._point = word_value_fraction(tuple(self._arr.tolist()), beta)
         return self._point
 
     def _digit_array(self) -> np.ndarray:
-        """The available stream as a numpy array, built once per depth."""
-        if self._arr is None or self._arr.shape[0] != len(self._digits):
-            self._arr = np.array(self._digits, dtype=_digit_dtype(self.ctx))
+        """The available stream, as the one array the view holds."""
         return self._arr
 
     def z_values(self) -> np.ndarray:
         """The Z-array of the available stream, as a read-only array."""
-        if self._z is None or self._z.shape[0] != len(self._digits):
-            self._z = z_array(self._digit_array())
+        if self._z is None or self._z.shape[0] != self._arr.shape[0]:
+            self._z = z_array(self._arr)
             self._z.flags.writeable = False
         return self._z
 
@@ -269,7 +265,7 @@ class OrbitView:
         return int(self.z_values()[n])
 
     def z_censored(self, n: int) -> bool:
-        return n + self.z(n) >= len(self._digits)
+        return n + self.z(n) >= self._arr.shape[0]
 
 
 def digit_period(view: OrbitView) -> Optional[int]:
@@ -345,14 +341,14 @@ def neg_log_distance(view: OrbitView, n: int) -> LambdaBounds:
     log2_tail = math.log2(tail_bound)
     acc = view.ctx._element(0)
     L = 0
-    digits = view._digits
+    digits = memoryview(view._arr)  # indexing gives Python ints
     base = view.depth
     while True:
         ia = n + j + L
         ib = j + L
         if ia >= base:
             if base < _SCAN_CAP:
-                base = view.ensure(ia + 1)  # extends digits in place
+                base, digits = view.ensure(ia + 1), memoryview(view._arr)  # the grown array
             if ia >= base:
                 # stream exhausted: the distance may be anything below the bound
                 log2s = acc.log2_abs()
@@ -464,7 +460,7 @@ def compare_distance_power(view: OrbitView, n: int, s: int) -> int:
 def _compare_left_endpoint(view: OrbitView, n: int, s: int, beta: Fraction) -> int:
     """compare_distance_power on a digit view over a rational base."""
     p, q = beta.numerator, beta.denominator
-    digits = view._digits
+    digits = memoryview(view._arr)  # indexing gives Python ints
     depth = len(digits)
     tail = max(view.ctx.alphabet_max, 1) * q  # the tail bound times p - q
     acc = view.ctx._element(0)

@@ -433,7 +433,8 @@ class TestConstructionKernels:
         draws = []
         inner = BlockPool.sample
         monkeypatch.setattr(BlockPool, "sample",
-                            lambda pool, rng, b=1: draws.extend([pool] * b) or inner(pool, rng, b))
+                            lambda pool, rng, b=1, out=None:
+                            draws.extend([pool] * b) or inner(pool, rng, b, out=out))
 
         def gap_draws(plan, depth):
             # whole gaps below depth, then the blocks of the gap it ends in

@@ -93,7 +93,7 @@ def oracle_z_array(seq):
 def oracle_z(view, n):
     cache = view.__dict__.get("_oracle_z")
     if cache is None or cache[0] != view.depth:
-        cache = view._oracle_z = (view.depth, oracle_z_array(view._digits))
+        cache = view._oracle_z = (view.depth, oracle_z_array(view.digits(view.depth)))
     return cache[1][n]
 
 
@@ -134,7 +134,7 @@ def oracle_lambda_series(view, n_max, scan_steps=48):
         depth = grown
     # zero-padded past the stream; a position that reads the padding is bad
     d = np.zeros(depth + scan_steps, dtype=np.int64)
-    d[:depth] = view._digits
+    d[:depth] = view.digits(view.depth)
     n_arr = np.arange(1, n_max + 1)
     j_arr = np.asarray(zs, dtype=np.int64)
     beta_f = view.ctx.beta_float()
@@ -374,7 +374,7 @@ class TestZArray:
     def assert_matches_oracle(seq):
         for arr in (seq, np.array(seq, dtype=np.int8)):
             z = z_array(arr)
-            assert z.dtype == np.int64
+            assert z.dtype == np.int32
             assert z.tolist() == oracle_z_array(seq)
 
     def test_long_periodic_streams(self):
@@ -406,11 +406,11 @@ class TestZArray:
         for seq in ([], [0], [2]):
             self.assert_matches_oracle(seq)
 
-    def test_view_holds_one_int64_array(self, base25):
+    def test_view_holds_one_int32_array(self, base25):
         v = OrbitView.from_digits(base25, [2, 0, 1, 2, 0, 1, 2, 0])
         z = v.z_values()
-        assert isinstance(z, np.ndarray) and z.dtype == np.int64
-        assert z.tolist() == oracle_z_array(v._digits)
+        assert isinstance(z, np.ndarray) and z.dtype == np.int32
+        assert z.tolist() == oracle_z_array(v.digits(v.depth))
         assert v.z(3) == 5 and type(v.z(3)) is int
         assert v.z_values() is z  # kept, not rebuilt
 
@@ -453,7 +453,7 @@ class TestZWindow:
         with mock.patch.object(recurrence, "_Z_GATHER", gather):
             for arr in (seq, np.array(seq, dtype=np.int8), np.array(seq, dtype=np.int64)):
                 z = z_array(arr)
-                assert z.dtype == np.int64
+                assert z.dtype == np.int32
                 assert z.tolist() == want
 
     @settings(max_examples=300)
@@ -720,7 +720,7 @@ class TestDifferenceScan:
             # nor does the lambda series, whose positions all take the exact path
             lam, _ = recurrence._lambda_series(view, 5)
         assert same_floats(lam.tolist(), oracle_lambda_series(
-            OrbitView.from_digits(ctx, view._digits), 5)[0])
+            OrbitView.from_digits(ctx, view.digits(view.depth)), 5)[0])
 
 
 class TestPeriodicityVerdict:

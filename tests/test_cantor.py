@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -185,6 +187,24 @@ class TestBlockPool:
         expected = draws / pool.size
         assert max(seen.values()) < 4 * expected
 
+    def test_sampling_into_a_buffer_appends_the_same_draws(self, base25):
+        # the 9-word pool whose seed-4 first draw is an excluded rotation,
+        # and a pool of base 300 whose digits need 64-bit buffers
+        trunc = approximate_beta(base25, 2)
+        wide = BetaContext.from_value(300)
+        pools = [BlockPool(trunc, base25, 3, exclude=tuple(_rotations((1, 0, 0)))),
+                 BlockPool(approximate_beta(wide, 1), wide, 2)]
+        for pool, buf in ((pools[0], bytearray([2, 1])), (pools[0], array("q", [2, 1])),
+                          (pools[1], array("q", [2, 1]))):
+            for seed, b in ((4, 1), (4, 3), (9, 40)):
+                ours, ref = random.Random(seed), random.Random(seed)
+                out = buf[:]
+                assert pool.sample(ours, b, out=out) is None
+                want = pool.sample(ref, b)
+                assert tuple(out) == (2, 1) + want and len(want) == b * pool.M
+                assert ours.getstate() == ref.getstate()
+        assert max(pools[1].sample(random.Random(0), 40)) > 127
+
 
 def _all_words(ctx, n):
     from betarec.symbolic import enumerate_admissible
@@ -278,6 +298,19 @@ class TestSampling:
         for k in deep:
             assert abs((m[k] - n[k]) / n[k] - 1.0) < 0.1
             assert abs((m[k] - n[k]) / n[k + 1] - 0.2) < 0.05
+
+    def test_a_deep_point_holds_one_byte_a_digit(self, base25):
+        # the branch grows in a byte buffer, and the view's array shares it
+        plan = build_plan(base25, 0, Fraction(1, 2), delta="0.5", K=6, seed=23)
+        sample_point(plan, 400, 100)  # the sampling tables are built once, here
+        depth = plan.m_seq[4] + 200
+        tracemalloc.start()
+        try:
+            view = sample_point(plan, 400, depth)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert view.depth == depth and held < 2 * depth
 
     def test_padding_words_are_full(self, plan25, base25):
         from betarec.cantor import pad

@@ -294,3 +294,34 @@ def test_from_digits_checks_the_alphabet(base25):
     assert v.digits(3) == [200, 0, 150]
     est = estimate_r_hat(v, 100)
     assert 0 <= est.value < math.inf and len(est.neg_log) == 100
+
+
+def test_digit_views_agree_whatever_holds_their_digits(base25):
+    # a list, a tuple and numpy arrays of either width make the same view:
+    # its readers see Python ints, so no numpy scalar meets exact arithmetic
+    word = list(beta_expand(Fraction(7137, 10000), base25, 400))
+
+    def reads(v):
+        assert all(type(v.digit(i)) is int for i in range(0, 400, 7))
+        prof = extract_returns(v, 40, monotone=False, search_limit=300)
+        return ([compare_distance_power(v, n, s) for n in range(1, 300, 3) for s in range(40)],
+                [neg_log_distance(v, n) for n in (1, 7, 50, 200, 320)],
+                [recurrence_distance(v, n) for n in (1, 7, 50, 200, 320)],
+                prof, [verify_bracketing(v, prof, k) for k in range(len(prof))])
+
+    want = reads(OrbitView.from_digits(base25, word))
+    assert len(want[3]) == 40 and all(want[4])
+    for seq in (tuple(word), np.array(word, dtype=np.int8), np.array(word, dtype=np.int64)):
+        assert reads(OrbitView.from_digits(base25, seq)) == want, type(seq)
+
+
+def test_arrays_handed_out_survive_growth(base25):
+    # a point view grows into a new array; one taken before stays as it was
+    v = OrbitView.from_point(base25, Fraction(7137, 10000))
+    v.ensure(300)
+    arr, z = v._digit_array(), v.z_values()
+    before = arr.copy()
+    assert v.ensure(5000) >= 5000 and v._digit_array() is not arr
+    assert np.array_equal(arr, before) and z.shape == arr.shape
+    assert np.array_equal(v._digit_array()[: arr.shape[0]], before)
+    assert v.digits(300) == before.tolist() and v.z_values().shape[0] == v.depth
